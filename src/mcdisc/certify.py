@@ -25,7 +25,7 @@ import numpy as np
 from scipy import optimize
 
 from . import qmath
-from .ensembles import Ensemble, average_state
+from .ensembles import Ensemble, average_state, canonical_pair_matrices
 from .errors import (
     DegenerateEnsembleError,
     DimensionMismatchError,
@@ -53,6 +53,8 @@ __all__ = [
 RATE_SUM_TOL = 1e-9
 KKT_TOL = 1e-9
 PRIOR_TOL = 1e-12
+GENERAL_RESTARTS = 2000     # random starts of certify_general's primal search
+GENERAL_SEED = 0xC0FFEE     # seed of those starts, fixed for reproducible brackets
 
 
 @dataclass(frozen=True)
@@ -165,17 +167,6 @@ class GeneralCertificate:
 # Analytic qubit certification
 # ---------------------------------------------------------------------------
 
-def _canonical_pair_matrices(c: float, p: float):
-    """Noisy-pair state rho1 and ensemble average rho in the canonical basis."""
-    half = math.acos(math.sqrt(c)) / 2.0
-    psi1 = np.array([math.cos(half), math.sin(half)], dtype=complex)
-    psi2 = np.array([math.cos(half), -math.sin(half)], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    rho1 = (1.0 - p) * np.outer(psi1, psi1.conj()) + p * eye / 2.0
-    rho2 = (1.0 - p) * np.outer(psi2, psi2.conj()) + p * eye / 2.0
-    return rho1, rho2, (rho1 + rho2) / 2.0
-
-
 def certify_qubit(c: float, p: float, eta1: float, priors: tuple = (0.5, 0.5)) -> CertReport:
     """Certified maximum confidence of detector 1 for the noisy canonical pair.
 
@@ -240,7 +231,7 @@ def certify_qubit(c: float, p: float, eta1: float, priors: tuple = (0.5, 0.5)) -
         value = 0.5 * (1.0 + amp * (1.0 / eta1 - 1.0))
 
     lam = (1.0 + gamma * tan_t) / (2.0 * eta1)
-    rho1, _, rho = _canonical_pair_matrices(c, p)
+    rho1, _, rho = canonical_pair_matrices(c, p)
     slack = lam * rho - rho1 / (2.0 * eta1)     # equals X1 - X2 at the optimum
     values, vectors = qmath.eig_hermitian(slack)
     low_vec = vectors[:, 0]
@@ -366,19 +357,12 @@ def verify_kkt(
 # General-n search certification
 # ---------------------------------------------------------------------------
 
-def _positive_part(a: np.ndarray) -> np.ndarray:
-    values, vectors = qmath.eig_hermitian(a)
-    clipped = np.maximum(values, 0.0)
-    out = (vectors * clipped) @ qmath.dagger(vectors)
-    return (out + qmath.dagger(out)) / 2.0
-
-
 def _dual_value(s: np.ndarray, targets: list, rho: np.ndarray, etas: np.ndarray):
     """Feasible dual point for multipliers s: iterated positive-part envelope."""
     dim = rho.shape[0]
     K = np.zeros((dim, dim), dtype=complex)
     for target, s_y in zip(targets, s):
-        K = K + _positive_part(target - s_y * rho - K)
+        K = K + qmath.psd_floor(target - s_y * rho - K, 0.0)
     return float(np.real(np.trace(K))) + float(np.dot(s, etas)), K
 
 
@@ -411,11 +395,9 @@ def _lattice_directions() -> np.ndarray:
     return np.array([d / np.linalg.norm(d) for d in dirs])
 
 
-def _rate_neutral_directions(rho: np.ndarray, dim: int) -> list:
+def _rate_neutral_directions(rho: np.ndarray) -> list:
     """Hermitian step directions b with tr[b rho] = 0, so moves keep every rate."""
-    if dim == 2:
-        u = qmath.bloch_vector(rho)
-        return [qmath.bloch_op(-2.0 * u[i], axis) for i, axis in enumerate(np.eye(3))]
+    dim = rho.shape[0]
     basis = []
     for i in range(dim):
         for j in range(i, dim):
@@ -443,8 +425,6 @@ def certify_general(
     e: Ensemble,
     alpha: WeightVector,
     rates: OutcomeRates,
-    restarts: int = 2000,
-    seed: int = 0xC0FFEE,
 ) -> GeneralCertificate:
     """Bracket the certifiable weighted confidence for an arbitrary ensemble.
 
@@ -452,7 +432,9 @@ def certify_general(
     locally refined search over rate-matched effects; the upper end is a
     feasible dual point (positive-part envelope over scalar multipliers,
     minimized numerically), so the true optimum always lies inside the
-    reported interval up to 1e-9 arithmetic slack.
+    reported interval up to 1e-9 arithmetic slack. The search draws
+    GENERAL_RESTARTS random starts from the fixed seed GENERAL_SEED, so
+    repeated calls return the same bracket.
     """
     n = rates.n
     if len(alpha.alpha) != n:
@@ -496,7 +478,7 @@ def certify_general(
     # completeness (its rate then matches automatically), so sampling all
     # arms independently would almost never satisfy M0 >= 0.
     saturated = rates.eta0 <= 1e-9 and n >= 2
-    rng_root = np.random.SeedSequence(seed)
+    rng_root = np.random.SeedSequence(GENERAL_SEED)
 
     if dim == 2:
         # Scalar pipeline: an arm (t, v) has value t + 2 v.u_y on state y,
@@ -523,7 +505,7 @@ def certify_general(
         best_vs = [np.zeros(3) for _ in range(n)]
         best_val = value_of(best_ts, best_vs)
 
-        for child in rng_root.spawn(restarts):
+        for child in rng_root.spawn(GENERAL_RESTARTS):
             rng = np.random.Generator(np.random.Philox(child))
             ts, vs, ok = [], [], True
             for y in range(n - 1 if saturated else n):
@@ -600,7 +582,7 @@ def certify_general(
             step /= 2.0
         best = [qmath.bloch_op(best_ts[y], best_vs[y]) for y in range(n)]
     else:
-        for child in rng_root.spawn(restarts):
+        for child in rng_root.spawn(GENERAL_RESTARTS):
             rng = np.random.Generator(np.random.Philox(child))
             ms = []
             for y in range(n - 1 if saturated else n):
@@ -620,7 +602,7 @@ def certify_general(
                 if val > best_val:
                     best, best_val = ms, val
 
-        neutral = _rate_neutral_directions(rho, dim)
+        neutral = _rate_neutral_directions(rho)
         step = 0.25
         while step > 1e-7:
             sweeps = 0

@@ -7,16 +7,13 @@ Subcommands:
   verify    self-checks: KKT residuals or oracle-vs-closed-form agreement
 
 Exit codes: 0 success, 1 verification or dominance failure, 2 usage or
-domain error, 3 infeasible rates. Sweeps honor the MCM_THREADS environment
-variable; rows are always emitted in x order regardless of thread count.
+domain error, 3 infeasible rates.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,22 +53,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MCM_THREADS", "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def _map_rows(fn, xs):
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, xs))
-    return [fn(x) for x in xs]
-
-
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
@@ -100,6 +81,22 @@ def _csv(header: str, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_sweep(header: str, xs, row, breach, out_path) -> int:
+    """Build one CSV row per x in x order, check dominance, write the CSV.
+
+    breach(row) returns a message when the row breaks dominance; the first
+    one goes to stderr, nothing is written and the exit code is 1.
+    """
+    rows = [row(x) for x in xs]
+    for r in rows:
+        message = breach(r)
+        if message:
+            print(message, file=sys.stderr)
+            return 1
+    _emit(_csv(header, rows), out_path)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -107,7 +104,7 @@ def _csv(header: str, rows: list) -> str:
 def _bounds_point(task: str, c: float, p: float):
     if task == "med":
         pair = make_pure_pair(PairSpec(c)) if p == 0.0 else make_noisy_pair(PairSpec(c, p))
-        return helstrom(pair).value, guess_nc(c).value
+        return helstrom(pair).value, guess_nc(c, p).value
     if task == "ud":
         return ud_quantum(c).value, ud_noncontextual(c).value
     return mcm_quantum(c, p).value, mcm_noncontextual(c, p).value
@@ -126,14 +123,13 @@ def cmd_bounds(args) -> int:
         q, nc = _bounds_point(task, c, p)
         return (x, q, nc)
 
-    rows = _map_rows(row, xs)
-    for x, q, nc in rows:
+    def breach(r):
+        x, q, nc = r
         better = q <= nc + DOMINANCE_SLACK if task == "ud" else q >= nc - DOMINANCE_SLACK
         if not better:
-            print(f"dominance violated at x={_fmt(x)}: {_fmt(q)} vs {_fmt(nc)}", file=sys.stderr)
-            return 1
-    _emit(_csv("x,quantum,noncontextual", rows), args.out)
-    return 0
+            return f"dominance violated at x={_fmt(x)}: {_fmt(q)} vs {_fmt(nc)}"
+
+    return _write_sweep("x,quantum,noncontextual", xs, row, breach, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +183,12 @@ def cmd_certify(args) -> int:
             nc = nc_certified(args.c, args.p, eta1)
             return (eta1, report.value, nc.value, report.branch)
 
-        rows = _map_rows(row, xs)
-        for eta1, q, nc, _branch in rows:
+        def breach(r):
+            eta1, q, nc, _branch = r
             if q < nc - DOMINANCE_SLACK:
-                print(
-                    f"dominance violated at eta1={_fmt(eta1)}: {_fmt(q)} < {_fmt(nc)}",
-                    file=sys.stderr,
-                )
-                return 1
-        _emit(_csv("x,quantum,noncontextual,branch", rows), args.out)
-        return 0
+                return f"dominance violated at eta1={_fmt(eta1)}: {_fmt(q)} < {_fmt(nc)}"
+
+        return _write_sweep("x,quantum,noncontextual,branch", xs, row, breach, args.out)
 
     if args.eta1 is None:
         raise OutOfRangeError("certify needs --eta1 (or --sweep / --ensemble)")

@@ -29,6 +29,7 @@ __all__ = [
     "pure_state",
     "make_pure_pair",
     "make_noisy_pair",
+    "canonical_pair_matrices",
     "depolarize",
     "confusability",
     "average_state",
@@ -148,6 +149,15 @@ class PairSpec:
         return math.acos(math.sqrt(self.c))
 
 
+def _canonical_vectors(theta: float) -> tuple:
+    """cos(theta/2)|0> +/- sin(theta/2)|1>."""
+    half = theta / 2.0
+    return (
+        np.array([math.cos(half), math.sin(half)], dtype=complex),
+        np.array([math.cos(half), -math.sin(half)], dtype=complex),
+    )
+
+
 def make_pure_pair(spec: PairSpec) -> Ensemble:
     """Canonical pure qubit pair with squared overlap spec.c.
 
@@ -156,9 +166,7 @@ def make_pure_pair(spec: PairSpec) -> Ensemble:
     """
     if spec.p != 0.0:
         raise InvalidSpecError("make_pure_pair requires p=0; use make_noisy_pair for p>0")
-    half = spec.theta / 2.0
-    psi1 = np.array([math.cos(half), math.sin(half)], dtype=complex)
-    psi2 = np.array([math.cos(half), -math.sin(half)], dtype=complex)
+    psi1, psi2 = _canonical_vectors(spec.theta)
     q1, q2 = spec.priors
     return Ensemble(((q1, pure_state(psi1)), (q2, pure_state(psi2))))
 
@@ -180,6 +188,14 @@ def make_noisy_pair(spec: PairSpec) -> Ensemble:
     """Depolarized canonical pair: convenience for the common construction."""
     pure = make_pure_pair(PairSpec(spec.c, 0.0, spec.priors))
     return depolarize(pure, spec.p)
+
+
+def canonical_pair_matrices(c: float, p: float) -> tuple:
+    """Depolarized canonical rho1, rho2 and their average, as unchecked arrays."""
+    eye = np.eye(2, dtype=complex)
+    psis = _canonical_vectors(PairSpec(c, p).theta)
+    rho1, rho2 = ((1.0 - p) * np.outer(psi, psi.conj()) + p * eye / 2.0 for psi in psis)
+    return rho1, rho2, (rho1 + rho2) / 2.0
 
 
 def confusability(s1: DensityMatrix, s2: DensityMatrix) -> float:

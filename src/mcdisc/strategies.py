@@ -152,10 +152,15 @@ def helstrom(e: Ensemble) -> BoundResult:
     return BoundResult(value, "quantum", "med", povm)
 
 
-def guess_nc(c: float) -> BoundResult:
-    """Noncontextual ceiling on the two-state guessing probability."""
+def guess_nc(c: float, p: float = 0.0) -> BoundResult:
+    """Noncontextual ceiling on the two-state guessing probability.
+
+    With depolarizing noise p this is the four-region model's value for
+    guessing state 1 exactly when sharp(mu1) fires on the noisy states.
+    """
     _check_c(c)
-    return BoundResult(1.0 - c / 2.0, "noncontextual", "med")
+    _check_p(p)
+    return BoundResult(1.0 - c / 2.0 - p * (1.0 - c) / 2.0, "noncontextual", "med")
 
 
 def ud_quantum(c: float) -> BoundResult:

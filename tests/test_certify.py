@@ -323,7 +323,7 @@ def test_general_brackets_unsaturated_noisy_point():
 def test_general_handles_qutrit_ensembles():
     v2 = np.array([0.6, 0.8, 0.0])
     e = Ensemble(((0.5, pure_state([1.0, 0.0, 0.0])), (0.5, pure_state(v2))))
-    cert = certify_general(e, WeightVector((1.0,)), OutcomeRates((0.5,), 0.5), restarts=150)
+    cert = certify_general(e, WeightVector((1.0,)), OutcomeRates((0.5,), 0.5))
     # embedded pair with squared overlap 0.36; the true optimum is 0.9
     assert cert.lower <= 0.9 + 1e-9
     assert cert.upper >= 0.9 - 1e-9

@@ -20,6 +20,7 @@ from mcdisc.errors import (
     OutOfRangeError,
     WrongArityError,
 )
+from mcdisc.ncmodel import build_model, noisy_epistemic, sharp
 from mcdisc.strategies import (
     BoundResult,
     Povm,
@@ -88,10 +89,25 @@ def test_guess_nc_endpoints_and_gap():
     assert guess_nc(0.5).value < HELSTROM_HALF
 
 
+def test_guess_nc_with_noise_matches_ontic_model():
+    for c in np.linspace(0.0, 1.0, 21):
+        m = build_model(float(c))
+        xi = sharp(m, "mu1")
+        for p in np.linspace(0.0, 1.0, 11):
+            hit1 = float(np.dot(noisy_epistemic(m, "mu1", float(p)), xi.weights))
+            hit2 = float(np.dot(noisy_epistemic(m, "mu2", float(p)), xi.weights))
+            model = 0.5 * hit1 + 0.5 * (1.0 - hit2)
+            assert guess_nc(float(c), float(p)).value == pytest.approx(model, abs=1e-12)
+    assert guess_nc(0.3, 0.0).value == 1.0 - 0.3 / 2.0
+
+
 def test_med_dominance_grid():
     for c in np.linspace(0.01, 0.99, 50):
         q = helstrom(make_pure_pair(PairSpec(float(c)))).value
         assert q > guess_nc(float(c)).value
+        for p in (0.3, 0.9):
+            q = helstrom(make_noisy_pair(PairSpec(float(c), p))).value
+            assert q > guess_nc(float(c), p).value
 
 
 # --- unambiguous discrimination ---------------------------------------------
