@@ -38,6 +38,7 @@ from .errors import (
     NonHermitianError,
     NotPsdError,
     NotPureError,
+    NumericalError,
     OutOfRangeError,
     UnequalPriorsError,
     WrongArityError,

@@ -13,16 +13,21 @@ only rank-two detectors (a multiple of the identity plus a projector)
 reach the rate. certify_qubit builds the optimal detector and a matching
 dual certificate with zero duality gap, verify_kkt checks the full
 optimality system of any (primal, dual) pair, and certify_general brackets
-the value for arbitrary small ensembles by randomized primal search plus a
-repaired dual upper bound.
+the value for arbitrary small ensembles (dimension 2 to 4, any number of
+detectors) by one primal-dual interior-point solve of the certification
+SDP, whose primal and dual ends are then repaired to exact feasibility.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+# Not used here: bench/tracer.py wraps mcdisc.certify.optimize, so
+# `bench/run.py --trace 1` exits 2 without this import. It can go once the
+# tracer treats a missing optimize as zero calls.
+from scipy import optimize  # noqa: F401
 
 from . import qmath
 from .ensembles import Ensemble, average_state, canonical_pair_matrices
@@ -30,6 +35,7 @@ from .errors import (
     DegenerateEnsembleError,
     DimensionMismatchError,
     InfeasibleRateError,
+    NumericalError,
     OutOfRangeError,
     UnequalPriorsError,
     WrongRegionError,
@@ -53,8 +59,6 @@ __all__ = [
 RATE_SUM_TOL = 1e-9
 KKT_TOL = 1e-9
 PRIOR_TOL = 1e-12
-GENERAL_RESTARTS = 2000     # random starts of certify_general's primal search
-GENERAL_SEED = 0xC0FFEE     # seed of those starts, fixed for reproducible brackets
 
 
 @dataclass(frozen=True)
@@ -120,16 +124,18 @@ class DualCertificate:
     X2: np.ndarray | None = None
 
     @classmethod
+    def from_slacks(cls, K: np.ndarray, s: tuple, slacks: list, **compact) -> "DualCertificate":
+        """Certificate with r0 sigma0 = K and r_y sigma_y = slacks[y], each sigma of unit trace."""
+        parts = [K, *slacks]
+        r = [float(np.trace(m).real) for m in parts]
+        sigma = [m / v if v > 1e-15 else np.eye(len(K), dtype=complex) / len(K)
+                 for m, v in zip(parts, r)]
+        return cls(K=K, s=tuple(s), r=tuple([max(v, 0.0) for v in r[1:]]), sigma=tuple(sigma[1:]),
+                   r0=r[0], sigma0=sigma[0], **compact)
+
+    @classmethod
     def from_qubit(cls, lam: float, X1: np.ndarray, X2: np.ndarray) -> "DualCertificate":
-        eye = np.eye(2, dtype=complex)
-        r1 = float(np.real(np.trace(X1)))
-        r0 = float(np.real(np.trace(X2)))
-        sigma1 = X1 / r1 if r1 > 1e-15 else eye / 2.0
-        sigma0 = X2 / r0 if r0 > 1e-15 else eye / 2.0
-        return cls(
-            K=X2, s=(lam,), r=(r1,), sigma=(sigma1,), r0=r0, sigma0=sigma0,
-            lam=lam, X1=X1, X2=X2,
-        )
+        return cls.from_slacks(X2, (lam,), [X1], lam=lam, X1=X1, X2=X2)
 
     def objective(self, rates: OutcomeRates) -> float:
         return float(np.real(np.trace(self.K))) + float(
@@ -151,7 +157,12 @@ class CertReport:
 
 @dataclass(frozen=True, eq=False)
 class GeneralCertificate:
-    """Bracketing interval from numerical search: lower (achieved) and upper (dual)."""
+    """Bracket of a certified value from one SDP solve.
+
+    lower is the value an exactly feasible POVM (povm) achieves; upper is the
+    objective of an exactly feasible dual point (dual). Both are sound, and
+    their difference is the solver's remaining duality gap.
+    """
 
     lower: float
     upper: float
@@ -253,7 +264,7 @@ def certify_qubit(c: float, p: float, eta1: float, priors: tuple = (0.5, 0.5)) -
     primal = float(np.real(np.trace(m1 @ rho1))) / (2.0 * eta1)
     dual_obj = lam * eta1 + float(np.real(np.trace(X2)))
     if abs(rate - eta1) > 1e-10 or abs(primal - value) > 1e-9 or abs(dual_obj - primal) > 1e-9:
-        raise ArithmeticError(
+        raise NumericalError(
             f"analytic certification lost consistency: rate dev {rate - eta1:.2e}, "
             f"value dev {primal - value:.2e}, gap {dual_obj - primal:.2e}"
         )
@@ -354,359 +365,155 @@ def verify_kkt(
 
 
 # ---------------------------------------------------------------------------
-# General-n search certification
+# General-n certification: one primal-dual interior-point SDP solve
 # ---------------------------------------------------------------------------
 
-def _dual_value(s: np.ndarray, targets: list, rho: np.ndarray, etas: np.ndarray):
-    """Feasible dual point for multipliers s: iterated positive-part envelope."""
-    dim = rho.shape[0]
-    K = np.zeros((dim, dim), dtype=complex)
-    for target, s_y in zip(targets, s):
-        K = K + qmath.psd_floor(target - s_y * rho - K, 0.0)
-    return float(np.real(np.trace(K))) + float(np.dot(s, etas)), K
+SDP_MAX_ITER = 60    # the solve takes 8 to 25 iterations for d <= 4, n <= 2
+SDP_STALL = 2        # iterations without a better iterate before stopping,
+SDP_NEAR = 1e-8      # counted once max(gap, residual) is below this
+SDP_TOL = 1e-13      # max(gap, residual) at which an iterate is final
+SDP_STEP = 0.98      # fraction of the distance to the cone boundary taken
 
 
-def _sample_dense_element(rng, eta_y: float, rho: np.ndarray, dim: int):
-    for _ in range(8):
-        w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        m = w @ qmath.dagger(w)
-        m /= qmath.op_norm(m) * rng.uniform(1.0, 4.0)
-        tr = float(np.real(np.trace(m @ rho)))
-        if tr <= 1e-12:
-            continue
-        m = m * (eta_y / tr)
-        if np.linalg.eigvalsh(m)[-1] <= 1.0 + 1e-12:
-            return m
-    return None
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """Basis of the dim x dim Hermitian matrices, orthogonal under Re tr[a b]."""
+    unit = np.eye(dim * dim).reshape(dim, dim, dim, dim)     # unit[i, j] = |i><j|
+    basis = [unit[i, i] for i in range(dim)]
+    for i, j in itertools.combinations(range(dim), 2):
+        basis += [unit[i, j] + unit[j, i], 1j * (unit[j, i] - unit[i, j])]
+    return np.array(basis, dtype=complex)
 
 
-def _in_unit_interval(m: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(m)
-    return w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+def _sdp_solve(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple:
+    """Approximate optima (X, y) of max <C, X> s.t. A(X) = b, X PSD, and of
+    its dual min b.y s.t. Z = A*(y) - C PSD, for Hermitian blocks X, Z, C
+    and constraint matrices A of shape (m, blocks, d, d).
+
+    Infeasible primal-dual interior-point method from X = Z = I, y = 0:
+    HKM direction, Mehrotra predictor-corrector. Near the optimum of
+    rank-deficient problems the Schur complement loses precision, so the
+    iterate with the smallest max(gap, residual) is returned.
+    """
+    def a_op(x):
+        return np.einsum("kiab,iba->k", A, x).real
+
+    def a_adj(y):
+        return np.einsum("k,kiab->iab", y, A)
+
+    def boundary(u, du):    # largest t with every block of u + t du PSD
+        low = np.linalg.eigvals(np.linalg.solve(u, du)).real.min()
+        return -1.0 / low if low < 0.0 else math.inf
+
+    eye, size = np.eye(C.shape[1]), C.shape[0] * C.shape[1]
+    x = np.broadcast_to(eye, C.shape).astype(complex)
+    z, y = x.copy(), np.zeros(len(b))
+    best, best_err, stall = (x, y), math.inf, 0
+    for _ in range(SDP_MAX_ITER):
+        rp, rd = b - a_op(x), C + z - a_adj(y)
+        err = max(abs(np.vdot(C, x).real - b @ y), np.linalg.norm(rp), np.linalg.norm(rd))
+        if err < best_err:
+            best, best_err, stall = (x, y), err, 0
+        elif best_err < SDP_NEAR:
+            stall += 1
+        if best_err < SDP_TOL or stall >= SDP_STALL:
+            break
+        try:
+            z_inv = np.linalg.inv(z)
+            schur = np.einsum("kiab,liba->kl", A, x @ A @ z_inv).real
+
+            def direction(rc):
+                dy = np.linalg.solve(schur, a_op((rc + x @ rd) @ z_inv) - rp)
+                dz = a_adj(dy) - rd
+                dx = (rc - x @ dz) @ z_inv
+                return (dx + np.swapaxes(dx.conj(), -1, -2)) / 2.0, dy, dz
+
+            xz, mu = x @ z, np.vdot(x, z).real / size
+            dx, dy, dz = direction(-xz)
+            tp, td = min(1.0, boundary(x, dx)), min(1.0, boundary(z, dz))
+            sigma = (np.vdot(x + tp * dx, z + td * dz).real / (size * mu)) ** 3
+            dx, dy, dz = direction(sigma * mu * eye - xz - dx @ dz)
+            tp = min(1.0, SDP_STEP * boundary(x, dx))
+            td = min(1.0, SDP_STEP * boundary(z, dz))
+        except np.linalg.LinAlgError:
+            break
+        x, y, z = x + tp * dx, y + td * dy, z + td * dz
+    return best
 
 
-def _lattice_directions() -> np.ndarray:
-    dirs = [
-        np.array(v, dtype=float)
-        for v in np.ndindex(3, 3, 3)
-        if v != (1, 1, 1)
-    ]
-    dirs = [d - 1.0 for d in dirs]
-    return np.array([d / np.linalg.norm(d) for d in dirs])
-
-
-def _rate_neutral_directions(rho: np.ndarray) -> list:
-    """Hermitian step directions b with tr[b rho] = 0, so moves keep every rate."""
-    dim = rho.shape[0]
-    basis = []
-    for i in range(dim):
-        for j in range(i, dim):
-            b = np.zeros((dim, dim), dtype=complex)
-            if i == j:
-                b[i, i] = 1.0
-            else:
-                b[i, j] = b[j, i] = 0.5
-            basis.append(b)
-            if i != j:
-                bi = np.zeros((dim, dim), dtype=complex)
-                bi[i, j] = -0.5j
-                bi[j, i] = 0.5j
-                basis.append(bi)
-    weight = float(np.real(np.trace(rho @ rho)))
-    out = []
-    for b in basis:
-        proj = b - (float(np.real(np.trace(b @ rho))) / weight) * rho
-        if np.linalg.norm(proj) > 1e-12:
-            out.append(proj)
-    return out
-
-
-def certify_general(
-    e: Ensemble,
-    alpha: WeightVector,
-    rates: OutcomeRates,
-) -> GeneralCertificate:
+def certify_general(e: Ensemble, alpha: WeightVector, rates: OutcomeRates) -> GeneralCertificate:
     """Bracket the certifiable weighted confidence for an arbitrary ensemble.
 
-    The lower end is the best feasible measurement found by a randomized,
-    locally refined search over rate-matched effects; the upper end is a
-    feasible dual point (positive-part envelope over scalar multipliers,
-    minimized numerically), so the true optimum always lies inside the
-    reported interval up to 1e-9 arithmetic slack. The search draws
-    GENERAL_RESTARTS random starts from the fixed seed GENERAL_SEED, so
-    repeated calls return the same bracket.
+    The value is the SDP max sum_y c_y tr[M_y rho_y], c_y = alpha_y q_y / eta_y,
+    over POVMs with tr[M_y rho] = eta_y; its dual is min tr K + s.eta over
+    K and Z_y = K + s_y rho - c_y rho_y PSD. One interior-point solve
+    approximates both. lower is the value of its POVM made exactly feasible
+    (each element moved to its rate, the largest-rate one reset to I minus
+    the rest, all mixed toward M_y = eta_y I until PSD); upper is the dual
+    objective once negative eigenvalues of K and the Z_y are shifted into
+    K. The optimum lies in [lower, upper] up to 1e-9 arithmetic slack, and
+    repeated calls return the same bracket. Raises NumericalError if upper
+    falls below lower.
     """
     n = rates.n
     if len(alpha.alpha) != n:
-        raise DimensionMismatchError(
-            f"alpha has {len(alpha.alpha)} entries for {n} detectors"
-        )
+        raise DimensionMismatchError(f"alpha has {len(alpha.alpha)} entries for {n} detectors")
     if n < 1 or n > len(e):
         raise DimensionMismatchError(f"{n} detectors incompatible with {len(e)} states")
     if sum(rates.eta) > 1.0 + RATE_SUM_TOL:
         raise InfeasibleRateError(f"detector rates sum to {sum(rates.eta)} > 1")
-    dim = e.dim
-    rho = average_state(e).matrix
+    dim, rho = e.dim, average_state(e).matrix
     eye = np.eye(dim, dtype=complex)
-
-    coeff = np.zeros(n)
+    targets = []
     for y in range(n):
-        if alpha.alpha[y] == 0.0:
-            continue
-        if rates.eta[y] <= 0.0:
+        if alpha.alpha[y] != 0.0 and rates.eta[y] <= 0.0:
             raise ZeroRateError(f"detector {y + 1} has weight but zero rate")
-        coeff[y] = alpha.alpha[y] * e.priors[y] / rates.eta[y]
+        coeff = alpha.alpha[y] * e.priors[y] / rates.eta[y] if alpha.alpha[y] else 0.0
+        targets.append(coeff * e.states[y].matrix)
 
-    def objective(ms) -> float:
-        return sum(
-            coeff[y] * float(np.real(np.trace(ms[y] @ e.states[y].matrix)))
-            for y in range(n)
-            if coeff[y] > 0.0
-        )
+    # SDP blocks: the arms with nonzero rate (a rate-0 arm has weight 0 and
+    # keeps M_y = 0) and the inconclusive element n. With eta_0 = 0 it and
+    # the last rate row (implied by completeness) are dropped, or the primal
+    # has no interior and the dual a line of optima (K - t rho, s + t).
+    arms = [y for y in range(n) if rates.eta[y] > 0.0]
+    saturated = rates.eta0 <= RATE_SUM_TOL
+    blocks, rows = (arms, arms[:-1]) if saturated else (arms + [n], arms)
+    basis = _hermitian_basis(dim)
+    A = np.zeros((len(basis) + len(rows), len(blocks), dim, dim), dtype=complex)
+    A[: len(basis)] = basis[:, None]
+    for k, y in enumerate(rows):
+        A[len(basis) + k, blocks.index(y)] = rho
+    b = np.concatenate([np.trace(basis, axis1=1, axis2=2).real, [rates.eta[y] for y in rows]])
+    x, y_opt = _sdp_solve(A, b, np.array([targets[y] if y < n else 0.0 * eye for y in blocks]))
 
-    def feasible(ms) -> bool:
-        m0 = eye - sum(ms)
-        return qmath.min_eig(m0) >= -1e-12
+    K = np.einsum("k,kab->ab", y_opt[: len(basis)], basis)
+    s = np.zeros(n)
+    s[rows] = y_opt[len(basis):]
+    if saturated:
+        # K + s_y rho >= Z_y >= 0 for each y: t = min s_y moves K to a PSD point.
+        t = s[arms].min()
+        K, s[arms] = K + t * rho, s[arms] - t
+    slack = [K + s[y] * rho - targets[y] for y in range(n)]
+    deficit = max(0.0, *(-qmath.min_eig(m) for m in [K] + slack))
+    dual = DualCertificate.from_slacks(K + deficit * eye, s, [m + deficit * eye for m in slack])
+    upper = dual.objective(rates)
 
-    # Always-feasible baseline: every detector proportional to the identity.
-    best = [rates.eta[y] * eye for y in range(n)]
-    if not feasible(best):
-        raise InfeasibleRateError("rates admit no measurement on this ensemble")
-    best_val = objective(best)
+    wanted = list(rates.eta) + [max(rates.eta0, 0.0)]
+    weight = float(np.real(np.trace(rho @ rho)))
+    ms = [level * rho / weight for level in wanted]
+    for i, m in zip(blocks, x):
+        w, rate = wanted[i], float(np.real(np.trace(m @ rho)))
+        ms[i] = m * (w / rate) if rate > w else m + (w - rate) / weight * rho
+    last = max(range(n + 1), key=wanted.__getitem__)   # completing with it needs least mixing
+    ms[last] = eye - sum(m for i, m in enumerate(ms) if i != last)
+    levels = [float(np.real(np.trace(m @ rho))) for m in ms]
+    lows = [qmath.min_eig(m) for m in ms]
+    mix = max([0.0] + [-low / (level - low) for low, level in zip(lows, levels) if low < 0.0])
+    ms = [(1.0 - mix) * m + mix * level * eye for m, level in zip(ms, levels)]
+    lower = sum(float(np.real(np.trace(m @ target))) for m, target in zip(ms, targets))
+    if upper < lower - 1e-9:
+        raise NumericalError(f"dual upper bound {upper} fell below achieved primal {lower}")
 
-    # With no room for an inconclusive outcome, the last arm is pinned by
-    # completeness (its rate then matches automatically), so sampling all
-    # arms independently would almost never satisfy M0 >= 0.
-    saturated = rates.eta0 <= 1e-9 and n >= 2
-    rng_root = np.random.SeedSequence(GENERAL_SEED)
-
-    if dim == 2:
-        # Scalar pipeline: an arm (t, v) has value t + 2 v.u_y on state y,
-        # rate t + 2 v.u on the average, eigenvalues t +/- |v|, and the
-        # inconclusive element stays PSD iff (1 - sum t) >= |sum v|.
-        u = np.real(qmath.bloch_vector(rho))
-        us = [np.real(qmath.bloch_vector(e.states[y].matrix)) for y in range(n)]
-        active_idx = [y for y in range(n) if coeff[y] > 0.0]
-
-        def arm_ok(t, v):
-            radius = float(np.linalg.norm(v))
-            return t - radius >= 0.0 and t + radius <= 1.0
-
-        def m0_ok(ts, vs):
-            return (1.0 - sum(ts)) - float(np.linalg.norm(sum(vs))) >= -1e-12
-
-        def value_of(ts, vs):
-            return sum(coeff[y] * (ts[y] + 2.0 * float(vs[y] @ us[y])) for y in active_idx)
-
-        def solve_t(v, y):
-            return rates.eta[y] - 2.0 * float(v @ u)
-
-        best_ts = [rates.eta[y] for y in range(n)]
-        best_vs = [np.zeros(3) for _ in range(n)]
-        best_val = value_of(best_ts, best_vs)
-
-        for child in rng_root.spawn(GENERAL_RESTARTS):
-            rng = np.random.Generator(np.random.Philox(child))
-            ts, vs, ok = [], [], True
-            for y in range(n - 1 if saturated else n):
-                t = rng.uniform(0.02, 0.98)
-                direction = rng.normal(size=3)
-                direction /= np.linalg.norm(direction)
-                v = rng.uniform(0.0, min(t, 1.0 - t)) * direction
-                trace = t + 2.0 * float(v @ u)
-                if trace <= 1e-12:
-                    ok = False
-                    break
-                scale = rates.eta[y] / trace
-                t, v = scale * t, scale * v
-                if not arm_ok(t, v):
-                    ok = False
-                    break
-                ts.append(t)
-                vs.append(v)
-            if not ok:
-                continue
-            if saturated:
-                t_last, v_last = 1.0 - sum(ts), -sum(vs) if vs else np.zeros(3)
-                if not arm_ok(t_last, v_last):
-                    continue
-                ts.append(t_last)
-                vs.append(v_last)
-            if m0_ok(ts, vs):
-                val = value_of(ts, vs)
-                if val > best_val:
-                    best_ts, best_vs, best_val = ts, vs, val
-
-        step = 0.25
-        dirs = _lattice_directions()
-        while step > 1e-7:
-            sweeps = 0
-            improved = True
-            while improved and sweeps < 40:
-                improved = False
-                sweeps += 1
-                for y in range(n):
-                    partners = [None] + [o for o in range(n) if o != y]
-                    for other in partners:
-                        for d in dirs:
-                            # Translations explore the interior; rotations
-                            # slide along the curved |v| = min(t, 1-t)
-                            # boundary, where translations toward the
-                            # optimum are all blocked.
-                            candidates = [best_vs[y] + step * d]
-                            radius = float(np.linalg.norm(best_vs[y]))
-                            if radius > 1e-12:
-                                tilted = best_vs[y] + step * d
-                                norm = float(np.linalg.norm(tilted))
-                                if norm > 1e-12:
-                                    candidates.append(tilted * (radius / norm))
-                            for v_new in candidates:
-                                t_new = solve_t(v_new, y)
-                                if not arm_ok(t_new, v_new):
-                                    continue
-                                delta = v_new - best_vs[y]
-                                cand_ts = list(best_ts)
-                                cand_vs = list(best_vs)
-                                cand_ts[y], cand_vs[y] = t_new, v_new
-                                if other is not None:
-                                    v_other = best_vs[other] - delta
-                                    t_other = solve_t(v_other, other)
-                                    if not arm_ok(t_other, v_other):
-                                        continue
-                                    cand_ts[other], cand_vs[other] = t_other, v_other
-                                if m0_ok(cand_ts, cand_vs):
-                                    val = value_of(cand_ts, cand_vs)
-                                    if val > best_val + 1e-12:
-                                        best_ts, best_vs, best_val = cand_ts, cand_vs, val
-                                        improved = True
-            step /= 2.0
-        best = [qmath.bloch_op(best_ts[y], best_vs[y]) for y in range(n)]
-    else:
-        for child in rng_root.spawn(GENERAL_RESTARTS):
-            rng = np.random.Generator(np.random.Philox(child))
-            ms = []
-            for y in range(n - 1 if saturated else n):
-                m = _sample_dense_element(rng, rates.eta[y], rho, dim)
-                if m is None:
-                    break
-                ms.append(m)
-            if len(ms) < (n - 1 if saturated else n):
-                continue
-            if saturated:
-                last = eye - sum(ms) if ms else eye
-                if not _in_unit_interval(last):
-                    continue
-                ms.append((last + qmath.dagger(last)) / 2.0)
-            if feasible(ms):
-                val = objective(ms)
-                if val > best_val:
-                    best, best_val = ms, val
-
-        neutral = _rate_neutral_directions(rho)
-        step = 0.25
-        while step > 1e-7:
-            sweeps = 0
-            improved = True
-            while improved and sweeps < 40:
-                improved = False
-                sweeps += 1
-                for y in range(n):
-                    partners = [None] + [o for o in range(n) if o != y]
-                    for other in partners:
-                        for b in neutral:
-                            for sgn in (1.0, -1.0):
-                                moved = best[y] + sgn * step * b
-                                if not _in_unit_interval(moved):
-                                    continue
-                                cand = list(best)
-                                cand[y] = moved
-                                if other is not None:
-                                    taken = best[other] - sgn * step * b
-                                    if not _in_unit_interval(taken):
-                                        continue
-                                    cand[other] = taken
-                                if feasible(cand) and objective(cand) > best_val + 1e-12:
-                                    best, best_val = cand, objective(cand)
-                                    improved = True
-            step /= 2.0
-
-    floored = [qmath.psd_floor(m, 0.0) for m in best]
-    m0 = qmath.psd_floor(eye - sum(floored), 0.0)
-    best_povm = Povm(tuple(floored), m0)
-    best_val = objective(floored)
-
-    # Dual side: minimize the positive-part envelope over the multipliers of
-    # the active arms only (inactive multipliers pinned at zero never help).
-    targets = [coeff[y] * e.states[y].matrix for y in range(n)]
-    active = [y for y in range(n) if coeff[y] > 0.0]
-    etas = np.asarray(rates.eta)
-
-    def g(s_active) -> float:
-        s = np.zeros(n)
-        s[active] = s_active
-        val, _ = _dual_value(s, targets, rho, etas)
-        return val
-
-    s_best = np.zeros(len(active))
-    g_best = g(s_best)
-    if len(active) == 1:
-        hi_s = 2.0 * max(coeff) + 1.0
-        res = optimize.minimize_scalar(
-            lambda s: g([s]), bounds=(-1.0, hi_s), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if res.fun < g_best:
-            s_best, g_best = np.array([res.x]), float(res.fun)
-    elif active:
-        starts = [np.zeros(len(active)), np.array([coeff[y] for y in active])]
-        for x0 in starts:
-            res = optimize.minimize(
-                g, x0, method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
-            )
-            if res.fun < g_best:
-                s_best, g_best = np.asarray(res.x), float(res.fun)
-        for i in range(len(active)):
-            def line(v, i=i):
-                s_try = s_best.copy()
-                s_try[i] = v
-                return g(s_try)
-            res = optimize.minimize_scalar(
-                line, bounds=(s_best[i] - 2.0, s_best[i] + 2.0), method="bounded",
-                options={"xatol": 1e-12},
-            )
-            if res.fun < g_best:
-                s_best[i], g_best = float(res.x), float(res.fun)
-
-    s_full = np.zeros(n)
-    s_full[active] = s_best
-    upper, K = _dual_value(s_full, targets, rho, etas)
-
-    # Explicit feasibility repair: any eigenvalue deficit is shifted into K.
-    deficit = max(0.0, -qmath.min_eig(K))
-    for y in range(n):
-        deficit = max(deficit, -qmath.min_eig(K + s_full[y] * rho - targets[y]))
-    if deficit > 0.0:
-        K = K + deficit * eye
-        upper = float(np.real(np.trace(K))) + float(np.dot(s_full, etas))
-
-    r_list, sigma_list = [], []
-    for y in range(n):
-        gap_op = K + s_full[y] * rho - targets[y]
-        r_y = float(np.real(np.trace(gap_op)))
-        sigma_list.append(gap_op / r_y if r_y > 1e-15 else eye / dim)
-        r_list.append(max(r_y, 0.0))
-    r0 = float(np.real(np.trace(K)))
-    sigma0 = K / r0 if r0 > 1e-15 else eye / dim
-    dual = DualCertificate(
-        K=K, s=tuple(s_full), r=tuple(r_list), sigma=tuple(sigma_list),
-        r0=r0, sigma0=sigma0,
-    )
-    if upper < best_val - 1e-9:
-        raise ArithmeticError(
-            f"dual upper bound {upper} fell below achieved primal {best_val}"
-        )
-    return GeneralCertificate(best_val, upper, best_povm, dual)
+    return GeneralCertificate(lower, upper, Povm(tuple(ms[:n]), ms[n]), dual)
 
 
 # ---------------------------------------------------------------------------

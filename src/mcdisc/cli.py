@@ -7,7 +7,9 @@ Subcommands:
   verify    self-checks: KKT residuals or oracle-vs-closed-form agreement
 
 Exit codes: 0 success, 1 verification or dominance failure, 2 usage or
-domain error, 3 infeasible rates.
+domain error, 3 infeasible rates. A NumericalError (an internal consistency
+check that lost precision) is a McdiscError, so it also exits 2 with
+"error: ..." on stderr and no traceback.
 """
 from __future__ import annotations
 

@@ -59,3 +59,7 @@ class InfeasibleRateError(McdiscError):
 
 class WrongRegionError(McdiscError):
     """The quantum/noncontextual gap relation only applies in the low and high rate regions."""
+
+
+class NumericalError(McdiscError, ArithmeticError):
+    """An internal consistency check failed: the arithmetic lost the precision a result needs."""

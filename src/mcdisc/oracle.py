@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleRateError,
     NotPureError,
+    NumericalError,
     OutOfRangeError,
     WrongArityError,
 )
@@ -229,7 +230,7 @@ def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
     for state, proj in zip((e.states[1], e.states[0]), (p1, p2)):
         cross = float(np.real(np.trace(proj @ state.matrix)))
         if cross > 1e-9:
-            raise ArithmeticError(f"kernel projector leaks {cross:.2e} cross clicks")
+            raise NumericalError(f"kernel projector leaks {cross:.2e} cross clicks")
 
     def feasible(a: float, b: float) -> bool:
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):

@@ -219,11 +219,17 @@ def mcm_quantum(c: float, p: float) -> BoundResult:
     two-detector POVM has rank-one elements along
     |phi_y> = sqrt((1-k)/2)|0> + (-1)^(y+1) sqrt((1+k)/2)|1>, k = (1-p) sqrt(c),
     scaled by 1/(1+k) so the inconclusive element is PSD with a zero eigenvalue.
+    At c = 1, p = 0 the states are identical (k = 1): the value is 1/2 and the
+    same POVM (m1 = m2 = |1><1|/2, m0 = |0><0|) is returned.
     """
     _check_c(c)
     _check_p(p)
     k = (1.0 - p) * math.sqrt(c)
-    value = 0.5 * (1.0 + (1.0 - p) * math.sqrt(1.0 - c) / math.sqrt(1.0 - k * k))
+    identical = k * k >= 1.0
+    if identical:
+        value = 0.5
+    else:
+        value = 0.5 * (1.0 + (1.0 - p) * math.sqrt(1.0 - c) / math.sqrt(1.0 - k * k))
     lo = math.sqrt((1.0 - k) / 2.0)
     hi = math.sqrt((1.0 + k) / 2.0)
     phi1 = np.array([lo, hi], dtype=complex)
@@ -233,7 +239,8 @@ def mcm_quantum(c: float, p: float) -> BoundResult:
     m2 = t * np.outer(phi2, phi2.conj())
     m0 = np.eye(2, dtype=complex) - m1 - m2
     povm = Povm((m1, m2), qmath.psd_floor(m0, 0.0))
-    return BoundResult(value, "quantum", "mcm", povm)
+    branch = "identical-states" if identical else ""
+    return BoundResult(value, "quantum", "mcm", povm, branch=branch)
 
 
 def mcm_quantum_general(e: Ensemble, y: int = 1) -> BoundResult:
@@ -267,9 +274,14 @@ def mcm_quantum_general(e: Ensemble, y: int = 1) -> BoundResult:
 
 
 def mcm_noncontextual(c: float, p: float) -> BoundResult:
-    """Noncontextual ceiling on the confidence for the depolarized pair."""
+    """Noncontextual ceiling on the confidence for the depolarized pair.
+
+    At c = 1, p = 0 the states are identical and the ceiling is 1/2.
+    """
     _check_c(c)
     _check_p(p)
+    if (1.0 - p) * c >= 1.0:
+        return BoundResult(0.5, "noncontextual", "mcm", branch="identical-states")
     value = 0.5 * (1.0 + (1.0 - p) * (1.0 - c) / (1.0 - (1.0 - p) * c))
     return BoundResult(value, "noncontextual", "mcm")
 

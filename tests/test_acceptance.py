@@ -5,6 +5,7 @@ runtime ceiling. Run with -v to get a pass/fail line per criterion.
 """
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import mcdisc
 from mcdisc.certify import OutcomeRates, WeightVector, certify_qubit, delta_gap, verify_kkt
 from mcdisc.ensembles import (
     PairSpec,
@@ -226,12 +228,17 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["certify", "--c", "0.5", "--p", "0.5", "--eta1", "0.5"],
         ["simulate", "--spec", str(spec), "--certify"],
     ]
+    # The child processes import the same mcdisc as this test, installed or not.
+    src = os.path.dirname(os.path.dirname(mcdisc.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     for argv in commands:
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "mcdisc.cli", *argv],
                 capture_output=True,
                 check=True,
+                env=env,
             )
             for _ in range(2)
         ]

@@ -1,5 +1,5 @@
 """Rate-constrained confidence certification: analytic engine, KKT checks,
-search bracketing, and the quantum/noncontextual gap relation."""
+SDP bracketing, and the quantum/noncontextual gap relation."""
 import math
 
 import numpy as np
@@ -17,6 +17,7 @@ from mcdisc.certify import (
     verify_kkt,
 )
 from mcdisc.ensembles import (
+    DensityMatrix,
     Ensemble,
     PairSpec,
     average_state,
@@ -279,7 +280,7 @@ def test_weight_vector_validation():
         WeightVector((math.inf,))
 
 
-# --- search-based certification ------------------------------------------------
+# --- SDP bracketing --------------------------------------------------------------
 
 def test_general_brackets_analytic_saturated_value():
     e = make_pure_pair(PairSpec(0.5))
@@ -290,7 +291,7 @@ def test_general_brackets_analytic_saturated_value():
     target = certify_qubit(0.5, 0.0, eta[0]).value
     assert cert.lower <= target + 1e-9
     assert cert.upper >= target - 1e-9
-    assert cert.upper - cert.lower <= 1e-4
+    assert cert.upper - cert.lower <= 1e-8
     assert cert.interval == (cert.lower, cert.upper)
 
 
@@ -317,7 +318,7 @@ def test_general_brackets_unsaturated_noisy_point():
     target = certify_qubit(0.5, 0.5, 0.5).value
     assert cert.lower <= target + 1e-9
     assert cert.upper >= target - 1e-9
-    assert cert.upper - cert.lower <= 1e-4
+    assert cert.upper - cert.lower <= 1e-8
 
 
 def test_general_handles_qutrit_ensembles():
@@ -327,6 +328,84 @@ def test_general_handles_qutrit_ensembles():
     # embedded pair with squared overlap 0.36; the true optimum is 0.9
     assert cert.lower <= 0.9 + 1e-9
     assert cert.upper >= 0.9 - 1e-9
+    assert cert.lower == pytest.approx(0.9, abs=1e-8)
+    assert cert.upper == pytest.approx(0.9, abs=1e-8)
+
+
+# (d, n, saturated): the benchmark's nine classes plus three saturated arms.
+GENERAL_CLASSES = [
+    (d, n, sat) for d in (2, 3, 4) for n, sat in ((1, False), (2, False), (2, True))
+] + [(3, 3, True)]
+
+
+def random_instance(rng, dim, n, saturated):
+    """Seeded ensemble of max(n, 2) states of random rank 1..dim with
+    unequal priors, and detector rates, drawn as the benchmark draws them."""
+    priors = rng.uniform(0.5, 1.5, size=max(n, 2))
+    priors = priors / priors.sum()
+    priors[-1] = 1.0 - priors[:-1].sum()
+    members = []
+    for q in priors:
+        rank = int(rng.integers(1, dim + 1))
+        w = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        m = w @ w.conj().T
+        members.append((float(q), DensityMatrix(m / np.real(np.trace(m)))))
+    if saturated:
+        eta = tuple(float(v) for v in rng.dirichlet(np.full(n, 2.0)))
+        return Ensemble(tuple(members)), OutcomeRates(eta, 0.0)
+    eta = tuple(float(v) for v in rng.uniform(0.1, 0.8 / n, size=n))
+    return Ensemble(tuple(members)), OutcomeRates(eta, 1.0 - sum(eta))
+
+
+@pytest.mark.parametrize("dim,n,saturated", GENERAL_CLASSES)
+def test_general_bracket_is_tight_and_exactly_feasible(dim, n, saturated):
+    rng = np.random.default_rng([dim, n, int(saturated)])
+    alpha = WeightVector((1.0,) * n)
+    for _ in range(3):
+        e, rates = random_instance(rng, dim, n, saturated)
+        cert = certify_general(e, alpha, rates)
+        assert cert.lower <= cert.upper <= cert.lower + 1e-6
+        povm = Povm(cert.povm.elements, cert.povm.inconclusive)   # PSD and complete
+        rho = average_state(e).matrix
+        for m, eta in zip(povm.elements, rates.eta):
+            assert float(np.real(np.trace(m @ rho))) == pytest.approx(eta, abs=1e-9)
+        _, residuals = verify_kkt(e, alpha, rates, povm, cert.dual)
+        assert residuals["dual_psd"] <= 1e-9
+        assert residuals["dual_feasibility"] <= 1e-9
+        assert residuals["gap"] <= 1e-6
+
+
+def test_general_matches_analytic_route_on_kkt_grid():
+    # A 6 x 6 x 6 subset of acceptance criterion 6's 20 x 20 x 20 grid.
+    picks = [0, 4, 8, 11, 15, 19]
+    alpha = WeightVector((1.0,))
+    for c in np.linspace(0.05, 0.95, 20)[picks]:
+        for p in np.linspace(0.0, 0.9, 20)[picks]:
+            e = make_noisy_pair(PairSpec(float(c), float(p)))
+            for eta1 in np.linspace(0.05, 0.99, 20)[picks]:
+                rates = OutcomeRates((float(eta1),), 1.0 - float(eta1))
+                value = certify_qubit(float(c), float(p), float(eta1)).value
+                cert = certify_general(e, alpha, rates)
+                assert abs(cert.lower - value) <= 1e-9, (c, p, eta1)
+                assert abs(cert.upper - value) <= 1e-9, (c, p, eta1)
+                ok, residuals = verify_kkt(e, alpha, rates, cert.povm, cert.dual)
+                assert ok, (c, p, eta1, residuals)
+
+
+@pytest.mark.parametrize("eta", [(0.3, 0.0), (0.6, 0.4), (1.0, 0.0)])
+def test_general_edge_rates_match_single_detector(eta):
+    # With weight on detector 1 only, detector 2 is part of the inconclusive
+    # outcome, so the single-detector analytic value applies: a zero-rate
+    # arm, saturated rates, and a detector that always clicks.
+    e = make_noisy_pair(PairSpec(0.5, 0.2))
+    alpha = WeightVector((1.0, 0.0))
+    rates = OutcomeRates(eta, 1.0 - sum(eta))
+    cert = certify_general(e, alpha, rates)
+    value = certify_qubit(0.5, 0.2, eta[0]).value
+    assert abs(cert.lower - value) <= 1e-9
+    assert abs(cert.upper - value) <= 1e-9
+    ok, residuals = verify_kkt(e, alpha, rates, cert.povm, cert.dual)
+    assert ok, residuals
 
 
 def test_general_validation_errors():

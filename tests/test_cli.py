@@ -60,6 +60,12 @@ def test_bounds_sweep_shape(capsys):
     assert first[0] == "0" and first[1] == "1" and first[2] == "1"
 
 
+def test_bounds_mcm_sweep_reaches_identical_states(capsys):
+    code, out, err = run_cli(capsys, ["bounds", "--task", "mcm", "--sweep", "c:0:1:5"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "1,0.5,0.5"
+
+
 def test_bounds_med_accepts_noise(capsys):
     code, out, err = run_cli(
         capsys, ["bounds", "--task", "med", "--c", "0.5", "--p", "0.2", "--sweep", "c:0:1:2000"]
@@ -166,6 +172,13 @@ def test_certify_infeasible_rates_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize("c,eta1", [("0.999999999999", "0.25"), ("0.5", "1e-12")])
+def test_certify_lost_precision_exits_two(capsys, c, eta1):
+    code, out, err = run_cli(capsys, ["certify", "--c", c, "--p", "0", "--eta1", eta1])
+    assert code == 2 and out == ""
+    assert err.startswith("error: analytic certification lost consistency")
 
 
 def test_usage_error_exits_two():

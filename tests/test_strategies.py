@@ -193,6 +193,17 @@ def test_mcm_noncontextual_values():
     assert mcm_noncontextual(0.5, 0.5).value == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
+def test_mcm_identical_states_at_full_confusability():
+    # c = 1, p = 0: the two states coincide and neither theory beats the prior.
+    q, nc = mcm_quantum(1.0, 0.0), mcm_noncontextual(1.0, 0.0)
+    assert q.value == nc.value == 0.5
+    assert q.branch == nc.branch == "identical-states"
+    m1, m2 = q.measurement.elements
+    assert np.allclose(m1, np.diag([0.0, 0.5])) and np.allclose(m2, np.diag([0.0, 0.5]))
+    assert np.allclose(q.measurement.inconclusive, np.diag([1.0, 0.0]))
+    assert mcm_quantum(0.5, 0.0).branch == mcm_noncontextual(0.5, 0.0).branch == ""
+
+
 def test_mcm_dominance_and_endpoint_equality():
     for p in np.linspace(0.0, 1.0, 101):
         q = mcm_quantum(0.5, float(p)).value
