@@ -30,7 +30,7 @@ import numpy as np
 from scipy import optimize  # noqa: F401
 
 from . import qmath
-from .ensembles import Ensemble, average_state, canonical_pair_matrices
+from .ensembles import PRIOR_TOL, Ensemble, average_state, canonical_pair_matrices
 from .errors import (
     DegenerateEnsembleError,
     DimensionMismatchError,
@@ -58,7 +58,6 @@ __all__ = [
 
 RATE_SUM_TOL = 1e-9
 KKT_TOL = 1e-9
-PRIOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 Each trial draws a preparation from the ensemble priors, erases it with a
 state-independent loss probability (folded into outcome 0 together with
 the measurement's own inconclusive weight), and otherwise samples an
-outcome from the Born probabilities. Counts are reproducible bit for bit:
-trials are partitioned into fixed-size chunks, each chunk running its own
-counter-based stream derived from (seed, chunk index), so the merge result
-does not depend on execution order.
+outcome from the Born probabilities. Trials are independent, so the tally
+is drawn exactly from that distribution in two multinomial steps: the
+trials per preparation from the priors, then each preparation's outcomes
+from its row of outcome probabilities. The cost grows with preparations x
+outcomes, not with the trial count. Counts are reproducible bit for bit:
+one counter-based stream is derived from the seed.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import OutcomeRates, WeightVector, certify_general, certify_qubit
-from .ensembles import Ensemble, average_state
+from .ensembles import Ensemble
 from .errors import (
     DegenerateEnsembleError,
     DimensionMismatchError,
@@ -39,7 +41,6 @@ __all__ = [
     "tally_from_json",
 ]
 
-CHUNK = 1 << 16
 Z95 = statistics.NormalDist().inv_cdf(0.975)
 
 
@@ -118,36 +119,23 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def run(spec: ExperimentSpec) -> Tally:
-    e, povm = spec.ensemble, spec.povm
-    n_prep = len(e)
-    outcomes = povm.outcome_elements()
-    born = np.empty((n_prep, len(outcomes)))
-    for x, state in enumerate(e.states):
-        for j, element in enumerate(outcomes):
-            born[x, j] = max(float(np.real(np.trace(element @ state.matrix))), 0.0)
-    born /= born.sum(axis=1, keepdims=True)
+def _distribution(weights) -> np.ndarray:
+    """Weights clipped at 0 and normalised along the last axis. numpy's
+    multinomial rejects any entry below 0 or above 1, which priors within
+    PRIOR_TOL of the simplex and rounded Born rows can reach."""
+    w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+    return w / w.sum(axis=-1, keepdims=True)
 
+
+def run(spec: ExperimentSpec) -> Tally:
+    states = np.array([s.matrix for s in spec.ensemble.states])
+    outcomes = np.array(spec.povm.outcome_elements())
+    born = _distribution(np.real(np.einsum("xij,yji->xy", states, outcomes)))
     probs = (1.0 - spec.loss) * born
     probs[:, 0] += spec.loss
-    cums = np.cumsum(probs, axis=1)
-    cums[:, -1] = 1.0
-    prior_cum = np.cumsum(e.priors)
-
-    counts = np.zeros((n_prep, len(outcomes)), dtype=np.int64)
-    done, chunk_index = 0, 0
-    while done < spec.trials:
-        size = min(CHUNK, spec.trials - done)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=(chunk_index,)))
-        )
-        xs = np.searchsorted(prior_cum, rng.random(size), side="right")
-        xs = np.minimum(xs, n_prep - 1)
-        ys = (rng.random(size)[:, None] >= cums[xs]).sum(axis=1)
-        np.add.at(counts, (xs, ys), 1)
-        done += size
-        chunk_index += 1
-    return Tally(counts, spec.trials)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
+    per_prep = rng.multinomial(spec.trials, _distribution(spec.ensemble.priors))
+    return Tally(rng.multinomial(per_prep, _distribution(probs)), spec.trials)
 
 
 def _noisy_pair_parameters(e: Ensemble):

@@ -224,13 +224,17 @@ def mcm_quantum(c: float, p: float) -> BoundResult:
     """
     _check_c(c)
     _check_p(p)
-    k = (1.0 - p) * math.sqrt(c)
-    identical = k * k >= 1.0
+    root_c = math.sqrt(c)
+    k = (1.0 - p) * root_c
+    # 1 - k without cancellation near k = 1, so that 1 - k^2 = (1-k)(1+k)
+    # keeps the value at or below 1 as c -> 1 at p = 0.
+    one_minus_k = p + (1.0 - p) * (1.0 - c) / (1.0 + root_c)
+    identical = one_minus_k <= 0.0
     if identical:
         value = 0.5
     else:
-        value = 0.5 * (1.0 + (1.0 - p) * math.sqrt(1.0 - c) / math.sqrt(1.0 - k * k))
-    lo = math.sqrt((1.0 - k) / 2.0)
+        value = 0.5 * (1.0 + (1.0 - p) * math.sqrt(1.0 - c) / math.sqrt(one_minus_k * (1.0 + k)))
+    lo = math.sqrt(one_minus_k / 2.0)
     hi = math.sqrt((1.0 + k) / 2.0)
     phi1 = np.array([lo, hi], dtype=complex)
     phi2 = np.array([lo, -hi], dtype=complex)

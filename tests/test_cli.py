@@ -66,6 +66,19 @@ def test_bounds_mcm_sweep_reaches_identical_states(capsys):
     assert out.splitlines()[-1] == "1,0.5,0.5"
 
 
+def test_bounds_mcm_near_identical_states(capsys):
+    # Near c = 1 a cancelling 1 - k^2 pushes the value past 1, which
+    # BoundResult rejects.
+    code, out, err = run_cli(capsys, ["bounds", "--task", "mcm", "--c", "0.999999", "--p", "0"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "0,1,1"
+    code, out, err = run_cli(
+        capsys, ["bounds", "--task", "mcm", "--p", "0", "--sweep", "c:0.99:1:10001"]
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 10002
+
+
 def test_bounds_med_accepts_noise(capsys):
     code, out, err = run_cli(
         capsys, ["bounds", "--task", "med", "--c", "0.5", "--p", "0.2", "--sweep", "c:0:1:2000"]

@@ -2,6 +2,7 @@
 from empirical tallies."""
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -69,6 +70,45 @@ def test_rates_track_born_probabilities_under_loss():
         target = 0.7 * float(np.real(np.trace(m @ rho)))
         sigma = math.sqrt(target * (1.0 - target) / trials)
         assert abs(rates[y] - target) <= 5.0 * sigma
+
+
+def test_every_cell_tracks_prior_times_born_probability():
+    # Three trine preparations with unequal priors, a three-detector POVM
+    # with an inconclusive half, loss 0.2: each cell counts[x, y] is
+    # Binomial(N, q_x P(y|x)).
+    trine = [pure_state([math.cos(a), math.sin(a)]) for a in (0.0, math.pi / 3, 2 * math.pi / 3)]
+    priors = (0.5, 0.3, 0.2)
+    e = Ensemble(tuple(zip(priors, trine)))
+    povm = Povm(tuple(s.matrix / 3.0 for s in trine), 0.5 * np.eye(2, dtype=complex))
+    trials, loss = 1_000_000, 0.2
+    tally = run(ExperimentSpec(e, povm, trials=trials, seed=31, loss=loss))
+    assert tally.counts.shape == (3, 4)
+    for x, (q, state) in enumerate(e.members):
+        for y, m in enumerate(povm.outcome_elements()):
+            born = float(np.real(np.trace(m @ state.matrix)))
+            p_cell = q * ((1.0 - loss) * born + (loss if y == 0 else 0.0))
+            sigma = math.sqrt(trials * p_cell * (1.0 - p_cell))
+            assert abs(tally.counts[x, y] - trials * p_cell) <= 5.0 * sigma
+
+
+def test_cost_does_not_grow_with_trials():
+    e = make_noisy_pair(PairSpec(0.5, 0.2))
+    spec = ExperimentSpec(e, helstrom_povm(e), trials=10**12, seed=9, loss=0.1)
+    t0 = time.perf_counter()
+    tally = run(spec)
+    assert time.perf_counter() - t0 < 0.5
+    assert tally.counts.dtype == np.int64
+    assert int(tally.counts.sum()) == 10**12
+
+
+def test_priors_at_the_tolerance_edge_are_simulated():
+    # The constructor accepts priors within PRIOR_TOL of the simplex, which
+    # numpy's multinomial would reject as they stand.
+    e = Ensemble(((1.0 + 5e-13, pure_state([1.0, 0.0])), (-4e-13, pure_state([0.6, 0.8]))))
+    povm = helstrom_povm(make_pure_pair(PairSpec(0.36)))
+    tally = run(ExperimentSpec(e, povm, trials=1_000, seed=4))
+    assert isinstance(tally, Tally)
+    assert tally.counts[1].sum() == 0 and tally.counts.sum() == 1_000
 
 
 def test_wilson_interval_behaviour():

@@ -204,6 +204,19 @@ def test_mcm_identical_states_at_full_confusability():
     assert mcm_quantum(0.5, 0.0).branch == mcm_noncontextual(0.5, 0.0).branch == ""
 
 
+def test_mcm_pure_pair_value_is_one_up_to_identical_states():
+    # At p = 0 the value is exactly 1 for every c < 1. Near c = 1, 1 - k^2
+    # loses every digit to cancellation unless 1 - k is formed from 1 - c.
+    for c in [1.0 - 10.0 ** -e for e in range(1, 16)] + [0.999999, float(np.nextafter(1.0, 0.0))]:
+        assert abs(mcm_quantum(c, 0.0).value - 1.0) <= 1e-15
+    for c in np.linspace(0.99, 1.0, 201)[:-1]:
+        for p in (1e-12, 1e-6, 0.01):
+            v = mcm_quantum(float(c), p).value
+            k = (1.0 - p) * math.sqrt(c)
+            ref = 0.5 * (1.0 + (1.0 - p) * math.sqrt((1.0 - c) / ((1.0 - k) * (1.0 + k))))
+            assert v <= 1.0 and abs(v - ref) <= 1e-9
+
+
 def test_mcm_dominance_and_endpoint_equality():
     for p in np.linspace(0.0, 1.0, 101):
         q = mcm_quantum(0.5, float(p)).value
