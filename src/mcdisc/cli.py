@@ -263,6 +263,8 @@ def _verify_kkt_mode(args) -> int:
 
 
 def _verify_oracle_mode(args) -> int:
+    if args.samples < 1:
+        raise OutOfRangeError(f"--samples={args.samples} must be at least 1")
     cfg = SearchConfig(seed=args.seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     worst = 0.0

@@ -12,9 +12,16 @@ t + 2 v.u, and PSD plus M <= I reduce to |v| <= min(t, 1 - t). Rate
 constraints are enforced exactly by solving for t (or the radius) instead
 of sampling and rejecting, which keeps the search unbiased next to the
 rate shell boundary.
+
+The searches are array code. Each direction oracle has one scorer over an
+(n, 3) array of unit directions, used both for the scan of the candidate
+directions (built once per SearchConfig) and for the batched axis moves
+that polish the best of them. The unambiguous oracle runs its boundary
+bisection for every scan point at once and refines by repeated zooms.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +59,8 @@ class SearchConfig:
             raise OutOfRangeError(
                 f"refine_tolerance={self.refine_tolerance} outside (0, 1)"
             )
+        if self.seed < 0:
+            raise OutOfRangeError(f"seed={self.seed} must be non-negative")
 
 
 _DEFAULT = SearchConfig()
@@ -79,29 +88,39 @@ def _restart_directions(cfg: SearchConfig) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def _candidate_directions(cfg: SearchConfig) -> np.ndarray:
+    """Grid plus restart directions, built once per config and read-only."""
     grid = _fibonacci_sphere(int(math.ceil(4.0 * math.pi / cfg.grid_resolution**2)))
-    return np.vstack((grid, _restart_directions(cfg)))
+    dirs = np.vstack((grid, _restart_directions(cfg)))
+    dirs.setflags(write=False)
+    return dirs
 
 
-def _polish_direction(score, start: np.ndarray, floor: float) -> float:
-    best = np.array(start, dtype=float)
-    best_val = score(best)
+_AXIS_MOVES = np.vstack((np.eye(3), -np.eye(3)))
+
+
+def _search_directions(score, cfg: SearchConfig) -> float:
+    """Best score over unit directions: scan the candidates, then polish.
+
+    `score` maps an (n, 3) array of unit directions to n achievable values.
+    The polish scores the six axis moves of the current best as one batch,
+    takes the best improving move, and halves the step when none improves.
+    """
+    dirs = _candidate_directions(cfg)
+    scores = score(dirs)
+    i = int(np.argmax(scores))
+    best, best_val = dirs[i], float(scores[i])
     step = 0.25
-    while step > floor:
-        improved = False
-        for axis in range(3):
-            for sign in (1.0, -1.0):
-                cand = best.copy()
-                cand[axis] += sign * step
-                norm = np.linalg.norm(cand)
-                if norm < 1e-12:
-                    continue
-                cand /= norm
-                val = score(cand)
-                if val > best_val:
-                    best, best_val, improved = cand, val, True
-        if not improved:
+    while step > cfg.refine_tolerance:
+        # best is a unit vector and step <= 1/4, so every move has norm >= 3/4.
+        cands = best + step * _AXIS_MOVES
+        cands /= np.linalg.norm(cands, axis=1)[:, None]
+        vals = score(cands)
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best, best_val = cands[j], float(vals[j])
+        else:
             step /= 2.0
     return best_val
 
@@ -126,15 +145,10 @@ def brute_guess(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
     q1, q2 = e.priors
     pull = q1 * u1 - q2 * u2
 
-    dirs = _candidate_directions(cfg)
-    scores = 0.5 + dirs @ pull
-    start = dirs[int(np.argmax(scores))]
+    def score(dirs):
+        return 0.5 + dirs @ pull
 
-    def score(direction):
-        return 0.5 + float(direction @ pull)
-
-    refined = _polish_direction(score, start, cfg.refine_tolerance)
-    return max(refined, q1, q2)
+    return max(_search_directions(score, cfg), q1, q2)
 
 
 def brute_confidence(
@@ -154,50 +168,44 @@ def brute_confidence(
 
     if eta1 is None:
 
-        def score(direction):
-            denom = 0.5 + float(direction @ ubar)
-            if denom <= 1e-14:
-                return q1
-            return max(q1, q1 * (0.5 + float(direction @ u1)) / denom)
+        def score(dirs):
+            numer = 0.5 + dirs @ u1
+            denom = 0.5 + dirs @ ubar
+            safe = denom > 1e-14
+            return np.where(safe, q1 * numer / np.where(safe, denom, 1.0), q1)
 
-        dirs = _candidate_directions(cfg)
-        numer = 0.5 + dirs @ u1
-        denom = 0.5 + dirs @ ubar
-        safe = denom > 1e-14
-        scores = np.where(safe, q1 * numer / np.where(safe, denom, 1.0), q1)
-        start = dirs[int(np.argmax(scores))]
-        return max(q1, _polish_direction(score, start, cfg.refine_tolerance))
+        return max(q1, _search_directions(score, cfg))
 
     if not (0.0 < eta1 <= 1.0):
         raise InfeasibleRateError(f"rate eta1={eta1} outside (0, 1]")
 
     gain_vec = 2.0 * (u1 - ubar)
 
-    def best_radius(beta: float) -> float:
-        # t = eta1 - s*beta; constraints t - s >= 0 and t + s <= 1.
-        bounds = []
-        if 1.0 + beta > 1e-14:
-            bounds.append(eta1 / (1.0 + beta))
-        if 1.0 - beta > 1e-14:
-            bounds.append((1.0 - eta1) / (1.0 - beta))
-        return min(bounds) if bounds else 0.0
+    def score(dirs):
+        # t = eta1 - s*beta; constraints t - s >= 0 and t + s <= 1 bound the
+        # radius s. |beta| <= 1, so at least one of them is finite.
+        beta = 2.0 * (dirs @ ubar)
+        gain = dirs @ gain_vec
+        lo = np.where(1.0 + beta > 1e-14, eta1 / np.maximum(1.0 + beta, 1e-14), np.inf)
+        hi = np.where(1.0 - beta > 1e-14, (1.0 - eta1) / np.maximum(1.0 - beta, 1e-14), np.inf)
+        radius = np.minimum(lo, hi)
+        return np.where(gain > 0.0, q1 * (eta1 + gain * radius) / eta1, q1)
 
-    def score(direction):
-        gain = float(direction @ gain_vec)
-        if gain <= 0.0:
-            return q1
-        s = best_radius(2.0 * float(direction @ ubar))
-        return q1 * (eta1 + s * gain) / eta1
+    return max(q1, _search_directions(score, cfg))
 
-    dirs = _candidate_directions(cfg)
-    beta = 2.0 * (dirs @ ubar)
-    gain = dirs @ gain_vec
-    lo = np.where(1.0 + beta > 1e-14, eta1 / np.maximum(1.0 + beta, 1e-14), np.inf)
-    hi = np.where(1.0 - beta > 1e-14, (1.0 - eta1) / np.maximum(1.0 - beta, 1e-14), np.inf)
-    radius = np.minimum(lo, hi)
-    scores = q1 * (eta1 + np.maximum(gain, 0.0) * radius) / eta1
-    start = dirs[int(np.argmax(scores))]
-    return max(q1, _polish_direction(score, start, cfg.refine_tolerance))
+
+def _completes(p1: np.ndarray, p2: np.ndarray, a, b) -> np.ndarray:
+    """Elementwise: a, b in [0, 1] and M = I - a P1 - b P2 >= 0 to within 1e-12.
+
+    The smallest eigenvalue of the 2x2 Hermitian M is taken in closed form,
+    (m00 + m11)/2 - sqrt(((m00 - m11)/2)^2 + |m01|^2).
+    """
+    m00 = 1.0 - a * p1[0, 0].real - b * p2[0, 0].real
+    m11 = 1.0 - a * p1[1, 1].real - b * p2[1, 1].real
+    m01 = a * p1[0, 1] + b * p2[0, 1]
+    lam = (m00 + m11) / 2.0 - np.hypot((m00 - m11) / 2.0, np.abs(m01))
+    in_box = (0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0)
+    return in_box & (lam >= -1e-12)
 
 
 def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
@@ -206,9 +214,11 @@ def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
     Zero cross clicks force each conclusive element onto the kernel of the
     other state, leaving two scale factors (a, b). The failure rate falls
     monotonically in each factor, so the optimum sits on the completeness
-    boundary I - a P1 - b P2 >= 0; for every a the largest feasible b is
-    found by bisection, and the remaining one-dimensional profile is
-    scanned on a grid plus random draws, then refined by golden section.
+    boundary I - a P1 - b P2 >= 0, tested with the exact smallest eigenvalue
+    of the 2x2 matrix. The largest feasible b is found for a whole array of
+    a values at once by a 60-step bisection, so the one-dimensional profile
+    is scanned on a grid plus random draws in one pass, then refined by
+    65-point zooms onto the neighbours of the best point.
     """
     if len(e) != 2:
         raise WrongArityError(f"unambiguous oracle needs 2 states, got {len(e)}")
@@ -232,53 +242,30 @@ def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
         if cross > 1e-9:
             raise NumericalError(f"kernel projector leaks {cross:.2e} cross clicks")
 
-    def feasible(a: float, b: float) -> bool:
-        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-            return False
-        m0 = np.eye(2, dtype=complex) - a * p1 - b * p2
-        return float(np.linalg.eigvalsh(m0)[0]) >= -1e-12
-
-    def failure(a: float, b: float) -> float:
-        return 1.0 - a * w1 - b * w2
-
-    def boundary_b(a: float) -> float:
-        if feasible(a, 1.0):
-            return 1.0
-        lo, hi = 0.0, 1.0
+    def profile(a: np.ndarray) -> np.ndarray:
+        """Failure rate at the largest feasible b, for each a."""
+        lo, hi = np.zeros_like(a), np.ones_like(a)
         for _ in range(60):
             mid = (lo + hi) / 2.0
-            if feasible(a, mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def profile(a: float) -> float:
-        return failure(a, boundary_b(a))
+            ok = _completes(p1, p2, a, mid)
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        b = np.where(_completes(p1, p2, a, 1.0), 1.0, lo)
+        return 1.0 - a * w1 - b * w2
 
     ticks = np.linspace(0.0, 1.0, int(round(1.0 / cfg.grid_resolution)) + 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-    draws = rng.uniform(0.0, 1.0, size=cfg.restarts)
-    best_a = 0.0
-    best_val = profile(0.0)
-    for a in np.concatenate([ticks, draws]):
-        val = profile(float(a))
-        if val < best_val:
-            best_a, best_val = float(a), val
+    scan = np.concatenate((ticks, rng.uniform(0.0, 1.0, size=cfg.restarts)))
+    vals = profile(scan)
+    i = int(np.argmin(vals))
+    best_a, best_val = float(scan[i]), float(vals[i])
 
     lo_a = max(0.0, best_a - cfg.grid_resolution)
     hi_a = min(1.0, best_a + cfg.grid_resolution)
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi_a - shrink * (hi_a - lo_a)
-    x2 = lo_a + shrink * (hi_a - lo_a)
-    f1, f2 = profile(x1), profile(x2)
     while hi_a - lo_a > cfg.refine_tolerance * 1e-3:
-        if f1 <= f2:
-            hi_a, x2, f2 = x2, x1, f1
-            x1 = hi_a - shrink * (hi_a - lo_a)
-            f1 = profile(x1)
-        else:
-            lo_a, x1, f1 = x1, x2, f2
-            x2 = lo_a + shrink * (hi_a - lo_a)
-            f2 = profile(x2)
-    return min(best_val, f1, f2)
+        xs = np.linspace(lo_a, hi_a, 65)
+        vals = profile(xs)
+        i = int(np.argmin(vals))
+        best_val = min(best_val, float(vals[i]))
+        lo_a, hi_a = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 64)])
+    return best_val

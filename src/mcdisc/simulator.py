@@ -61,6 +61,8 @@ class ExperimentSpec:
             raise OutOfRangeError(f"loss={self.loss} outside [0, 1]")
         if self.trials < 1:
             raise OutOfRangeError(f"trials={self.trials} must be positive")
+        if self.seed < 0:
+            raise OutOfRangeError(f"seed={self.seed} must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -179,7 +179,7 @@ def test_criterion_7_oracle_equivalence():
         c = float(rng.uniform(0.05, 0.95))
         e = make_pure_pair(PairSpec(c))
         assert abs(brute_ud(e, cfg=cfg) - math.sqrt(c)) <= 1e-3
-    _done(7, t0, 300.0)
+    _done(7, t0, 30.0)
 
 
 def test_criterion_8_simulation_soundness():

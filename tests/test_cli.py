@@ -222,6 +222,14 @@ def test_simulate_repeats_are_identical(tmp_path, capsys):
     assert reseeded != first
 
 
+def test_simulate_negative_seed_exits_two(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_sim_spec(spec)
+    code, out, err = run_cli(capsys, ["simulate", "--spec", str(spec), "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: seed=-1") and "Traceback" not in err
+
+
 def test_simulate_certify_payload(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_sim_spec(spec, trials=50_000)
@@ -258,3 +266,17 @@ def test_verify_oracle_mode_small_sample(capsys):
     )
     assert code == 0
     assert "max oracle deviation" in out
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--seed", "-1"], "error: seed=-1"),
+        (["--samples", "0"], "error: --samples=0"),
+        (["--samples", "-1"], "error: --samples=-1"),
+    ],
+)
+def test_verify_oracle_mode_rejects_bad_arguments(capsys, extra, message):
+    code, out, err = run_cli(capsys, ["verify", "--mode", "oracle", *extra])
+    assert code == 2 and out == ""
+    assert err.startswith(message) and "Traceback" not in err

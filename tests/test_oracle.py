@@ -14,7 +14,14 @@ from mcdisc.errors import (
     OutOfRangeError,
     WrongArityError,
 )
-from mcdisc.oracle import SearchConfig, brute_confidence, brute_guess, brute_ud
+from mcdisc.oracle import (
+    SearchConfig,
+    _candidate_directions,
+    _completes,
+    brute_confidence,
+    brute_guess,
+    brute_ud,
+)
 from mcdisc.strategies import helstrom, mcm_quantum, ud_quantum
 
 
@@ -117,6 +124,76 @@ def test_brute_ud_unequal_priors_boundary_regime():
     assert brute_ud(e, cfg=FAST) == pytest.approx(0.6, abs=1e-6)
 
 
+def test_brute_ud_mirrored_priors_boundary_regime():
+    # Mirror of the (0.8, 0.2) case: the optimum sits on the other
+    # single-state boundary, at q2*c + q1 = 0.6.
+    e = make_pure_pair(PairSpec(0.5, priors=(0.2, 0.8)))
+    assert brute_ud(e, cfg=FAST) == pytest.approx(0.6, abs=1e-6)
+
+
+def _random_kernel_pair(rng):
+    projectors = []
+    for _ in range(2):
+        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+        vec /= np.linalg.norm(vec)
+        projectors.append(np.outer(vec, vec.conj()))
+    return projectors
+
+
+def _eigvalsh_completes(p1, p2, a, b):
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        return False
+    return float(np.linalg.eigvalsh(np.eye(2) - a * p1 - b * p2)[0]) >= -1e-12
+
+
+def test_completeness_check_matches_eigvalsh_on_random_points():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(41)))
+    for _ in range(20):
+        p1, p2 = _random_kernel_pair(rng)
+        a = rng.uniform(-0.1, 1.1, size=200)
+        b = rng.uniform(-0.1, 1.1, size=200)
+        got = _completes(p1, p2, a, b)
+        want = [_eigvalsh_completes(p1, p2, x, y) for x, y in zip(a, b)]
+        assert got.tolist() == want
+
+
+def test_completeness_check_matches_eigvalsh_next_to_the_boundary():
+    # Steps of 1e-11 on both sides of the eigvalsh bisection point. The point
+    # itself is left out: it sits on the -1e-12 tolerance to within rounding,
+    # where any two eigenvalue routines may round to different sides.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(43)))
+    offsets = np.concatenate((np.arange(-10, 0), np.arange(1, 11))) * 1e-11
+    checked = 0
+    for _ in range(20):
+        p1, p2 = _random_kernel_pair(rng)
+        a = float(rng.uniform(0.05, 0.95))
+        if _eigvalsh_completes(p1, p2, a, 1.0):
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if _eigvalsh_completes(p1, p2, a, mid) else (lo, mid)
+        b = lo + offsets
+        got = _completes(p1, p2, a, b)
+        assert got.tolist() == [_eigvalsh_completes(p1, p2, a, y) for y in b]
+        assert got[0] and not got[-1]
+        checked += 1
+    assert checked >= 10
+
+
+def test_candidate_directions_are_cached_and_read_only():
+    dirs = _candidate_directions(SearchConfig(restarts=90, seed=5))
+    assert _candidate_directions(SearchConfig(restarts=90, seed=5)) is dirs
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 2.0
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+    reseeded = _candidate_directions(SearchConfig(restarts=90, seed=6))
+    assert reseeded.shape == dirs.shape
+    assert not np.array_equal(reseeded[-90:], dirs[-90:])
+    more = _candidate_directions(SearchConfig(restarts=91, seed=5))
+    assert more.shape[0] == dirs.shape[0] + 1
+
+
 def test_oracles_are_deterministic():
     e = make_noisy_pair(PairSpec(0.37, 0.22))
     cfg = SearchConfig(restarts=80, seed=99)
@@ -133,6 +210,8 @@ def test_search_config_validation():
         SearchConfig(grid_resolution=0.0)
     with pytest.raises(OutOfRangeError):
         SearchConfig(refine_tolerance=-1.0)
+    with pytest.raises(OutOfRangeError):
+        SearchConfig(seed=-1)
 
 
 def test_brute_guess_arity_and_dimension_checks():

@@ -233,3 +233,5 @@ def test_experiment_spec_validation():
         ExperimentSpec(e, povm, trials=0, seed=0)
     with pytest.raises(OutOfRangeError):
         ExperimentSpec(e, povm, trials=10, seed=0, loss=1.5)
+    with pytest.raises(OutOfRangeError):
+        ExperimentSpec(e, povm, trials=10, seed=-1)
