@@ -56,10 +56,7 @@ from .ncmodel import (
     nc_confidence,
     noisy_epistemic,
     prob,
-    rank2,
     sharp,
-    tilted_sharp,
-    weighted_sharp,
 )
 from .oracle import SearchConfig, brute_confidence, brute_guess, brute_ud
 from .qmath import (

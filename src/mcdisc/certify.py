@@ -276,6 +276,22 @@ def certify_qubit(c: float, p: float, eta1: float, priors: tuple = (0.5, 0.5)) -
 # KKT verification
 # ---------------------------------------------------------------------------
 
+def _objective_weights(e: Ensemble, alpha: WeightVector, rates: OutcomeRates) -> list:
+    """Objective weights c_y = alpha_y q_y / eta_y, with c_y = 0 where alpha_y = 0.
+
+    Raises ZeroRateError for a nonzero weight on a zero rate.
+    """
+    coeff = []
+    for y, a_y in enumerate(alpha.alpha):
+        if a_y == 0.0:
+            coeff.append(0.0)
+        elif rates.eta[y] <= 0.0:
+            raise ZeroRateError(f"detector {y + 1} has weight but zero rate")
+        else:
+            coeff.append(a_y * e.priors[y] / rates.eta[y])
+    return coeff
+
+
 def verify_kkt(
     e: Ensemble,
     alpha: WeightVector,
@@ -305,15 +321,7 @@ def verify_kkt(
         raise DimensionMismatchError("dual certificate arity does not match the detectors")
 
     rho = average_state(e).matrix
-    coeff = []
-    for y in range(n):
-        a_y = alpha.alpha[y]
-        if a_y == 0.0:
-            coeff.append(0.0)
-            continue
-        if rates.eta[y] <= 0.0:
-            raise ZeroRateError(f"detector {y + 1} has weight but zero rate")
-        coeff.append(a_y * e.priors[y] / rates.eta[y])
+    coeff = _objective_weights(e, alpha, rates)
 
     outcome_elements = povm.outcome_elements()
     psd_dev = max(max(0.0, -qmath.min_eig(m)) for m in outcome_elements)
@@ -462,12 +470,8 @@ def certify_general(e: Ensemble, alpha: WeightVector, rates: OutcomeRates) -> Ge
         raise InfeasibleRateError(f"detector rates sum to {sum(rates.eta)} > 1")
     dim, rho = e.dim, average_state(e).matrix
     eye = np.eye(dim, dtype=complex)
-    targets = []
-    for y in range(n):
-        if alpha.alpha[y] != 0.0 and rates.eta[y] <= 0.0:
-            raise ZeroRateError(f"detector {y + 1} has weight but zero rate")
-        coeff = alpha.alpha[y] * e.priors[y] / rates.eta[y] if alpha.alpha[y] else 0.0
-        targets.append(coeff * e.states[y].matrix)
+    coeff = _objective_weights(e, alpha, rates)
+    targets = [coeff[y] * e.states[y].matrix for y in range(n)]
 
     # SDP blocks: the arms with nonzero rate (a rate-0 arm has weight 0 and
     # keeps M_y = 0) and the inconclusive element n. With eta_0 = 0 it and

@@ -33,7 +33,7 @@ from .ensembles import (
     make_pure_pair,
     matrix_to_json,
 )
-from .errors import InfeasibleRateError, McdiscError, OutOfRangeError
+from .errors import InfeasibleRateError, InvalidSpecError, McdiscError, OutOfRangeError
 from .ncmodel import nc_certified
 from .oracle import SearchConfig, brute_confidence, brute_guess, brute_ud
 from .simulator import ExperimentSpec, certify_from_tally, run, tally_to_json
@@ -56,18 +56,39 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise McdiscError(f"cannot write {out_path}: {err.strerror}") from None
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as err:
+        raise McdiscError(f"cannot read {path}: {err.strerror}") from None
+
+
+def _floats(raw: str, option: str) -> tuple:
+    try:
+        return tuple(float(v) for v in raw.split(","))
+    except ValueError:
+        raise OutOfRangeError(f"{option} {raw!r} is not a list of numbers") from None
 
 
 def _parse_sweep(raw: str, allowed: tuple):
     parts = raw.split(":")
     if len(parts) != 4:
         raise OutOfRangeError(f"sweep spec {raw!r} is not var:start:end:steps")
-    var, start, end, steps = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    try:
+        var, start, end, steps = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError:
+        raise OutOfRangeError(f"sweep spec {raw!r} has a non-numeric bound or step count") from None
     if var not in allowed:
         raise OutOfRangeError(f"sweep variable {var!r} not one of {allowed}")
     if steps < 2:
@@ -156,14 +177,13 @@ def _dual_payload(dual) -> dict:
 
 def cmd_certify(args) -> int:
     if args.ensemble:
-        with open(args.ensemble) as fh:
-            e = ensemble_from_json(fh.read())
+        e = ensemble_from_json(_read(args.ensemble))
         if not args.rates:
             raise OutOfRangeError("--ensemble requires --rates")
-        eta = tuple(float(v) for v in args.rates.split(","))
+        eta = _floats(args.rates, "--rates")
         rates = OutcomeRates(eta, 1.0 - sum(eta))
         alpha = (
-            WeightVector(tuple(float(v) for v in args.alpha.split(",")))
+            WeightVector(_floats(args.alpha, "--alpha"))
             if args.alpha
             else WeightVector((1.0,) + (0.0,) * (len(eta) - 1))
         )
@@ -216,13 +236,18 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    with open(args.spec) as fh:
-        raw = json.load(fh)
-    e = ensemble_from_json(json.dumps(raw["ensemble"]))
-    povm = povm_from_json(raw["povm"])
-    trials = args.trials if args.trials is not None else int(raw.get("trials", 100000))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    loss = args.loss if args.loss is not None else float(raw.get("loss", 0.0))
+    try:
+        raw = json.loads(_read(args.spec))
+        ensemble_doc, povm_doc = raw["ensemble"], raw["povm"]
+        trials = args.trials if args.trials is not None else int(raw.get("trials", 100000))
+        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+        loss = args.loss if args.loss is not None else float(raw.get("loss", 0.0))
+    except KeyError as err:
+        raise InvalidSpecError(f"experiment spec {args.spec} has no key {err}") from None
+    except (ValueError, TypeError) as err:
+        raise InvalidSpecError(f"malformed experiment spec {args.spec}: {err}") from None
+    e = ensemble_from_json(json.dumps(ensemble_doc))
+    povm = povm_from_json(povm_doc)
     tally = run(ExperimentSpec(e, povm, trials, seed, loss))
 
     if not args.certify:

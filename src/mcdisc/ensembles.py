@@ -255,14 +255,14 @@ def ensemble_to_json(e: Ensemble) -> str:
 
 
 def ensemble_from_json(text: str) -> Ensemble:
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         dim = int(doc["dim"])
         members = tuple(
             (float(m["prior"]), DensityMatrix(matrix_from_json(m["matrix"])))
             for m in doc["members"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InvalidSpecError(f"malformed ensemble JSON: {exc}") from exc
     e = Ensemble(members)
     if e.dim != dim:

@@ -9,10 +9,16 @@ with its mirror reproduces the maximally mixed distribution, and the
 construction is symmetric under swapping the two states. Response
 functions are vectors of per-region click weights in [0, 1]; sharp
 (outcome-deterministic) responses are indicators of epistemic supports.
+The model's responses are the convex hull of the never-click response and
+the five sharp ones, not the whole cube [0, 1]^4: a click on R1 alone, say,
+is no response of the model.
 
 nc_certified gives the noncontextual ceiling on the confidence of detector 1
 as a function of its observed rate, in three branches split at
-(1 -/+ (1-p)c)/2 and (1 + (1-p)c)/2.
+(1 - (1-p)c)/2 and (1 + (1-p)c)/2. nc_achievability_search finds the best
+response in the hull exactly, as an independent check of that ceiling; the
+three branches are the segments never -> sharp(mu2_bar) -> sharp(mu1) ->
+sharp(mu_mixed).
 """
 from __future__ import annotations
 
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InfeasibleRateError,
     OutOfRangeError,
     ZeroConfusabilityError,
     ZeroRateError,
@@ -31,14 +36,10 @@ from .strategies import BoundResult
 __all__ = [
     "REGIONS",
     "EPISTEMIC_LABELS",
-    "MIRROR",
     "OnticModel",
     "ResponseFunction",
     "build_model",
     "sharp",
-    "weighted_sharp",
-    "rank2",
-    "tilted_sharp",
     "prob",
     "ensemble_weights",
     "noisy_epistemic",
@@ -49,9 +50,6 @@ __all__ = [
 
 REGIONS = ("R12", "R1", "R2", "R0")
 EPISTEMIC_LABELS = ("mu1", "mu2", "mu1_bar", "mu2_bar", "mu_mixed")
-MIRROR = {"mu1": "mu1_bar", "mu1_bar": "mu1", "mu2": "mu2_bar", "mu2_bar": "mu2"}
-
-RATE_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,39 +104,6 @@ def sharp(m: OnticModel, label: str) -> ResponseFunction:
     """Outcome-deterministic response: the indicator of an epistemic support."""
     w = (m.weights(label) > 0.0).astype(float)
     return ResponseFunction(w, f"sharp({label})")
-
-
-def weighted_sharp(m: OnticModel, q: float, label: str) -> ResponseFunction:
-    """A sharp response fired only with probability q."""
-    if not (0.0 <= q <= 1.0):
-        raise OutOfRangeError(f"weight q={q} outside [0, 1]")
-    base = sharp(m, label)
-    return ResponseFunction(q * base.weights, f"weighted-sharp(q={q:.12g}, target={label})")
-
-
-def rank2(m: OnticModel, a: float, label: str) -> ResponseFunction:
-    """Sharp response on a target plus weight a on the target's mirror support."""
-    if not (0.0 <= a <= 1.0):
-        raise OutOfRangeError(f"weight a={a} outside [0, 1]")
-    if label not in MIRROR:
-        raise OutOfRangeError(f"label {label!r} has no mirror partner")
-    w = sharp(m, label).weights + a * sharp(m, MIRROR[label]).weights
-    return ResponseFunction(w, f"rank2(a={a:.12g}, target={label})")
-
-
-def tilted_sharp(m: OnticModel, t: float) -> ResponseFunction:
-    """Coarse-grained sharp response of an intermediate preparation.
-
-    Interpolates between sharp(mu2_bar) at t=0 and sharp(mu1) at t=1. In a
-    refinement of the four-region model these are genuine deterministic
-    responses of preparations lying between the second mirror and the first
-    state; they keep the difference of the two click probabilities pinned
-    at 1 - c while the outcome rate sweeps the middle region.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise OutOfRangeError(f"interpolation t={t} outside [0, 1]")
-    w = (1.0 - t) * sharp(m, "mu2_bar").weights + t * sharp(m, "mu1").weights
-    return ResponseFunction(w, f"tilted-sharp(t={t:.12g})")
 
 
 def prob(m: OnticModel, state: str, xi: ResponseFunction) -> float:
@@ -211,53 +176,31 @@ def nc_certified(c: float, p: float, eta1: float) -> BoundResult:
 
 
 def nc_achievability_search(m: OnticModel, p: float, eta1: float) -> ResponseFunction:
-    """Best in-model response matching a target rate.
+    """Best in-model response at rate eta1, found exactly.
 
-    Scans the admissible families (weighted-sharp, sharp, rank-two
-    completions, tilted sharp), solving each family's rate equation exactly
-    for the member hitting eta1 instead of gridding, and returns the one
-    with the highest confidence. Raises InfeasibleRateError if no family
-    member attains the rate.
+    The responses are the hull of six vertices: never-click and the five
+    sharp responses. At a fixed rate the confidence is linear in the
+    response, so the optimum lies where the rate hyperplane cuts the segment
+    between two vertices; all 15 segments are solved for their mixing
+    weight at once. The segment from never-click to sharp(mu_mixed), which
+    clicks on the whole support of the ensemble, reaches every rate in
+    (0, 1].
     """
     if not (0.0 < eta1 <= 1.0):
         raise OutOfRangeError(f"rate eta1={eta1} outside (0, 1]")
     if not (0.0 <= p <= 1.0):
         raise OutOfRangeError(f"noise p={p} outside [0, 1]")
-    mu_p = ensemble_weights(m, p)
-    candidates = []
-
-    def rate_of(xi: ResponseFunction) -> float:
-        return float(np.dot(mu_p, xi.weights))
-
-    for label in EPISTEMIC_LABELS:
-        s = sharp(m, label)
-        r = rate_of(s)
-        if abs(r - eta1) <= RATE_MATCH_TOL:
-            candidates.append(s)
-        if r > 0.0 and eta1 < r:
-            candidates.append(weighted_sharp(m, eta1 / r, label))
-    for label in MIRROR:
-        base = rate_of(sharp(m, label))
-        pad = rate_of(sharp(m, MIRROR[label]))
-        if pad <= 0.0:
-            continue
-        a = (eta1 - base) / pad
-        if -1e-12 <= a <= 1.0 + 1e-12:
-            candidates.append(rank2(m, min(max(a, 0.0), 1.0), label))
-    span = rate_of(sharp(m, "mu1")) - rate_of(sharp(m, "mu2_bar"))
-    if span > 0.0:
-        t = (eta1 - rate_of(sharp(m, "mu2_bar"))) / span
-        if -1e-12 <= t <= 1.0 + 1e-12:
-            candidates.append(tilted_sharp(m, min(max(t, 0.0), 1.0)))
-
-    best = None
-    best_conf = -1.0
-    for xi in candidates:
-        if abs(rate_of(xi) - eta1) > RATE_MATCH_TOL:
-            continue
-        conf, _ = nc_confidence(m, p, xi)
-        if conf > best_conf:
-            best, best_conf = xi, conf
-    if best is None:
-        raise InfeasibleRateError(f"no admissible response attains rate {eta1}")
-    return best
+    names = ("never",) + tuple(f"sharp({label})" for label in EPISTEMIC_LABELS)
+    sharps = [sharp(m, label).weights for label in EPISTEMIC_LABELS]
+    vertices = np.vstack([np.zeros(4)] + sharps)
+    rates = vertices @ ensemble_weights(m, p)
+    rates[-1] = 1.0  # sharp(mu_mixed): its summed rate can miss 1 by an ulp
+    u, v = np.triu_indices(len(vertices), k=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (eta1 - rates[u]) / (rates[v] - rates[u])
+    feasible = (0.0 <= t) & (t <= 1.0)
+    t = np.where(feasible, t, 0.0)
+    mixes = (1.0 - t)[:, None] * vertices[u] + t[:, None] * vertices[v]
+    clicks_on_1 = np.where(feasible, mixes @ noisy_epistemic(m, "mu1", p), -np.inf)
+    k = int(np.argmax(clicks_on_1))
+    return ResponseFunction(mixes[k], f"mix({names[u[k]]}, {names[v[k]]}, t={t[k]:.12g})")

@@ -15,7 +15,7 @@ rate shell boundary.
 
 The searches are array code. Each direction oracle has one scorer over an
 (n, 3) array of unit directions, used both for the scan of the candidate
-directions (built once per SearchConfig) and for the batched axis moves
+directions (built once per seed) and for the batched axis moves
 that polish the best of them. The unambiguous oracle runs its boundary
 bisection for every scan point at once and refines by repeated zooms.
 """
@@ -41,24 +41,16 @@ from .errors import (
 __all__ = ["SearchConfig", "brute_guess", "brute_confidence", "brute_ud"]
 
 
+RESTARTS = 400
+GRID_RESOLUTION = 0.02
+REFINE_TOLERANCE = 1e-7
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    restarts: int = 400
-    grid_resolution: float = 0.02
-    refine_tolerance: float = 1e-7
     seed: int = 0xC0FFEE
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise OutOfRangeError(f"restarts={self.restarts} must be at least 1")
-        if not (0.0 < self.grid_resolution <= 0.1):
-            raise OutOfRangeError(
-                f"grid_resolution={self.grid_resolution} outside (0, 0.1]"
-            )
-        if not (0.0 < self.refine_tolerance < 1.0):
-            raise OutOfRangeError(
-                f"refine_tolerance={self.refine_tolerance} outside (0, 1)"
-            )
         if self.seed < 0:
             raise OutOfRangeError(f"seed={self.seed} must be non-negative")
 
@@ -77,8 +69,8 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
 
 def _restart_directions(cfg: SearchConfig) -> np.ndarray:
     """One extra direction per restart, each from its own derived stream."""
-    out = np.empty((cfg.restarts, 3))
-    for i in range(cfg.restarts):
+    out = np.empty((RESTARTS, 3))
+    for i in range(RESTARTS):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
         )
@@ -91,7 +83,7 @@ def _restart_directions(cfg: SearchConfig) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _candidate_directions(cfg: SearchConfig) -> np.ndarray:
     """Grid plus restart directions, built once per config and read-only."""
-    grid = _fibonacci_sphere(int(math.ceil(4.0 * math.pi / cfg.grid_resolution**2)))
+    grid = _fibonacci_sphere(int(math.ceil(4.0 * math.pi / GRID_RESOLUTION**2)))
     dirs = np.vstack((grid, _restart_directions(cfg)))
     dirs.setflags(write=False)
     return dirs
@@ -112,7 +104,7 @@ def _search_directions(score, cfg: SearchConfig) -> float:
     i = int(np.argmax(scores))
     best, best_val = dirs[i], float(scores[i])
     step = 0.25
-    while step > cfg.refine_tolerance:
+    while step > REFINE_TOLERANCE:
         # best is a unit vector and step <= 1/4, so every move has norm >= 3/4.
         cands = best + step * _AXIS_MOVES
         cands /= np.linalg.norm(cands, axis=1)[:, None]
@@ -253,16 +245,16 @@ def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
         b = np.where(_completes(p1, p2, a, 1.0), 1.0, lo)
         return 1.0 - a * w1 - b * w2
 
-    ticks = np.linspace(0.0, 1.0, int(round(1.0 / cfg.grid_resolution)) + 1)
+    ticks = np.linspace(0.0, 1.0, int(round(1.0 / GRID_RESOLUTION)) + 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-    scan = np.concatenate((ticks, rng.uniform(0.0, 1.0, size=cfg.restarts)))
+    scan = np.concatenate((ticks, rng.uniform(0.0, 1.0, size=RESTARTS)))
     vals = profile(scan)
     i = int(np.argmin(vals))
     best_a, best_val = float(scan[i]), float(vals[i])
 
-    lo_a = max(0.0, best_a - cfg.grid_resolution)
-    hi_a = min(1.0, best_a + cfg.grid_resolution)
-    while hi_a - lo_a > cfg.refine_tolerance * 1e-3:
+    lo_a = max(0.0, best_a - GRID_RESOLUTION)
+    hi_a = min(1.0, best_a + GRID_RESOLUTION)
+    while hi_a - lo_a > REFINE_TOLERANCE * 1e-3:
         xs = np.linspace(lo_a, hi_a, 65)
         vals = profile(xs)
         i = int(np.argmin(vals))

@@ -194,6 +194,32 @@ def test_certify_lost_precision_exits_two(capsys, c, eta1):
     assert err.startswith("error: analytic certification lost consistency")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--spec", "{dir}/missing.json"],
+        ["simulate", "--spec", "{dir}/broken.json"],
+        ["simulate", "--spec", "{dir}/no_ensemble.json"],
+        ["simulate", "--spec", "{dir}/list.json"],
+        ["certify", "--ensemble", "{dir}/missing.json", "--rates", "0.5,0.5"],
+        ["certify", "--ensemble", "{dir}/pair.json", "--rates", "a,b"],
+        ["certify", "--ensemble", "{dir}/pair.json", "--rates", "0.5", "--alpha", "x"],
+        ["certify", "--sweep", "eta1:a:1:5"],
+        ["bounds", "--task", "mcm", "--sweep", "p:0:1:x"],
+        ["bounds", "--task", "ud", "--out", "{dir}/nonexistent/x.csv"],
+        ["certify", "--eta1", "0.5", "--out", "{dir}/nonexistent/x.csv"],
+    ],
+)
+def test_bad_user_input_exits_two(tmp_path, capsys, argv):
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "no_ensemble.json").write_text('{"povm": {}}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "pair.json").write_text(ensemble_to_json(make_pure_pair(PairSpec(0.5))))
+    code, out, err = run_cli(capsys, [a.format(dir=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["bounds"])          # missing required --task

@@ -10,16 +10,14 @@ from mcdisc.ncmodel import (
     nc_certified,
     nc_confidence,
     prob,
-    rank2,
     sharp,
-    tilted_sharp,
-    weighted_sharp,
 )
 from mcdisc.errors import (
     OutOfRangeError,
     ZeroConfusabilityError,
     ZeroRateError,
 )
+from mcdisc.strategies import mcm_noncontextual
 
 ALWAYS = ResponseFunction(np.ones(4), "always-click")
 
@@ -111,12 +109,6 @@ def test_response_function_validation():
         ResponseFunction(np.ones(3))
     with pytest.raises(OutOfRangeError):
         ResponseFunction(np.array([0.5, 0.5, 0.5, 1.5]))
-    with pytest.raises(OutOfRangeError):
-        weighted_sharp(build_model(0.5), 1.2, "mu1")
-    with pytest.raises(OutOfRangeError):
-        rank2(build_model(0.5), 0.5, "mu_mixed")   # no mirror partner
-    with pytest.raises(OutOfRangeError):
-        tilted_sharp(build_model(0.5), -0.1)
 
 
 def test_full_rate_response_gives_prior_confidence():
@@ -215,7 +207,7 @@ def test_search_high_rate_example():
 
 def test_search_achieves_certified_ceiling_everywhere():
     # The best in-model response must reproduce the closed-form ceiling:
-    # never above it (soundness) and not measurably below it (achievability).
+    # neither above it (soundness) nor below it (achievability), up to rounding.
     for c in (0.2, 0.5, 0.8):
         m = build_model(c)
         for p in (0.0, 0.3, 0.6):
@@ -223,6 +215,34 @@ def test_search_achieves_certified_ceiling_everywhere():
                 xi = nc_achievability_search(m, p, float(eta1))
                 conf, rate = nc_confidence(m, p, xi)
                 ceiling = nc_certified(c, p, float(eta1)).value
-                assert abs(rate - eta1) <= 1e-9
-                assert conf <= ceiling + 1e-9
-                assert conf >= ceiling - 1e-6
+                assert abs(rate - eta1) <= 1e-12
+                assert conf <= ceiling + 1e-12
+                assert conf >= ceiling - 1e-12
+
+
+def test_search_reaches_full_rate_everywhere():
+    # The ensemble weights can sum to 1 - 1 ulp; rate 1 must stay reachable.
+    for c in np.linspace(0.04, 1.0, 25):
+        m = build_model(float(c))
+        for p in np.linspace(0.0, 1.0, 20):
+            conf, rate = nc_confidence(m, float(p), nc_achievability_search(m, float(p), 1.0))
+            assert conf == pytest.approx(0.5, abs=1e-12)
+            assert rate == pytest.approx(1.0, abs=1e-12)
+
+
+def test_noncontextual_closed_forms_agree_at_low_rate():
+    # strategies.mcm_noncontextual is the rate-free ceiling; below the first
+    # branch point nc_certified and the search must give the same value.
+    for c in np.linspace(0.01, 1.0, 20):
+        m = build_model(float(c))
+        for p in np.linspace(0.0, 1.0, 21):
+            if c == 1.0 and p == 0.0:
+                continue  # nc_certified divides by 1 - (1-p)c = 0 here
+            unbounded = mcm_noncontextual(float(c), float(p)).value
+            lo = (1.0 - (1.0 - p) * c) / 2.0
+            for eta1 in np.linspace(lo / 7.0, lo, 7):
+                certified = nc_certified(float(c), float(p), float(eta1)).value
+                xi = nc_achievability_search(m, float(p), float(eta1))
+                searched, _ = nc_confidence(m, float(p), xi)
+                assert certified == pytest.approx(unbounded, abs=1e-12)
+                assert searched == pytest.approx(unbounded, abs=1e-12)

@@ -15,6 +15,7 @@ from mcdisc.errors import (
     WrongArityError,
 )
 from mcdisc.oracle import (
+    RESTARTS,
     SearchConfig,
     _candidate_directions,
     _completes,
@@ -25,22 +26,19 @@ from mcdisc.oracle import (
 from mcdisc.strategies import helstrom, mcm_quantum, ud_quantum
 
 
-FAST = SearchConfig(restarts=120)
-
-
 def test_brute_guess_recovers_helstrom_halfway():
     e = make_pure_pair(PairSpec(0.5))
-    assert brute_guess(e, cfg=FAST) == pytest.approx(0.8535533905932737, abs=1e-6)
+    assert brute_guess(e) == pytest.approx(0.8535533905932737, abs=1e-6)
 
 
 def test_brute_guess_orthogonal_pair():
     e = make_pure_pair(PairSpec(0.0))
-    assert brute_guess(e, cfg=FAST) == pytest.approx(1.0, abs=1e-9)
+    assert brute_guess(e) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_brute_guess_identical_states_returns_best_prior():
     e = Ensemble(((0.7, pure_state([1.0, 0.0])), (0.3, pure_state([1.0, 0.0]))))
-    val = brute_guess(e, cfg=FAST)
+    val = brute_guess(e)
     assert 0.7 <= val <= 0.7 + 1e-12
 
 
@@ -51,14 +49,14 @@ def test_brute_guess_sound_against_closed_form():
         p = float(rng.uniform(0.0, 0.9))
         e = make_noisy_pair(PairSpec(c, p))
         target = helstrom(e).value
-        val = brute_guess(e, cfg=FAST)
+        val = brute_guess(e)
         assert val <= target + 1e-9
         assert val >= target - 1e-3
 
 
 def test_brute_confidence_recovers_mcm():
     e = make_noisy_pair(PairSpec(0.5, 0.5))
-    assert brute_confidence(e, cfg=FAST) == pytest.approx(0.6889822365046137, abs=1e-6)
+    assert brute_confidence(e) == pytest.approx(0.6889822365046137, abs=1e-6)
 
 
 def test_brute_confidence_sound_against_closed_form():
@@ -68,7 +66,7 @@ def test_brute_confidence_sound_against_closed_form():
         p = float(rng.uniform(0.0, 0.9))
         e = make_noisy_pair(PairSpec(c, p))
         target = mcm_quantum(c, p).value
-        val = brute_confidence(e, cfg=FAST)
+        val = brute_confidence(e)
         assert val <= target + 1e-9
         assert val >= target - 1e-3
 
@@ -77,11 +75,11 @@ def test_brute_confidence_with_rate_constraint():
     from mcdisc.certify import certify_qubit
 
     e = make_pure_pair(PairSpec(0.5))
-    val = brute_confidence(e, eta1=0.75, cfg=FAST)
+    val = brute_confidence(e, eta1=0.75)
     assert val == pytest.approx(2.0 / 3.0, abs=1e-3)
     for eta1 in (0.3, 0.5, 0.9):
         target = certify_qubit(0.5, 0.0, eta1).value
-        val = brute_confidence(e, eta1=eta1, cfg=FAST)
+        val = brute_confidence(e, eta1=eta1)
         assert val <= target + 1e-9
         assert val >= target - 1e-3
 
@@ -89,20 +87,20 @@ def test_brute_confidence_with_rate_constraint():
 def test_brute_confidence_rejects_bad_rate():
     e = make_pure_pair(PairSpec(0.5))
     with pytest.raises(InfeasibleRateError):
-        brute_confidence(e, eta1=0.0, cfg=FAST)
+        brute_confidence(e, eta1=0.0)
     with pytest.raises(InfeasibleRateError):
-        brute_confidence(e, eta1=1.2, cfg=FAST)
+        brute_confidence(e, eta1=1.2)
 
 
 def test_brute_ud_halfway_failure_rate():
     e = make_pure_pair(PairSpec(0.5))
-    assert brute_ud(e, cfg=FAST) == pytest.approx(0.7071067811865476, abs=1e-6)
+    assert brute_ud(e) == pytest.approx(0.7071067811865476, abs=1e-6)
 
 
 def test_brute_ud_matches_overlap_across_grid():
     for c in (0.0, 0.25, 0.81):
         e = make_pure_pair(PairSpec(c))
-        assert brute_ud(e, cfg=FAST) == pytest.approx(math.sqrt(c), abs=1e-6)
+        assert brute_ud(e) == pytest.approx(math.sqrt(c), abs=1e-6)
 
 
 def test_brute_ud_sound_lower_bound():
@@ -111,7 +109,7 @@ def test_brute_ud_sound_lower_bound():
         c = float(rng.uniform(0.05, 0.95))
         e = make_pure_pair(PairSpec(c))
         target = ud_quantum(c).value
-        val = brute_ud(e, cfg=FAST)
+        val = brute_ud(e)
         assert val >= target - 1e-9
         assert val <= target + 1e-3
 
@@ -121,14 +119,14 @@ def test_brute_ud_unequal_priors_boundary_regime():
     # infeasible, so the optimum sits on the single-state boundary at
     # q1*c + q2 = 0.6.
     e = make_pure_pair(PairSpec(0.5, priors=(0.8, 0.2)))
-    assert brute_ud(e, cfg=FAST) == pytest.approx(0.6, abs=1e-6)
+    assert brute_ud(e) == pytest.approx(0.6, abs=1e-6)
 
 
 def test_brute_ud_mirrored_priors_boundary_regime():
     # Mirror of the (0.8, 0.2) case: the optimum sits on the other
     # single-state boundary, at q2*c + q1 = 0.6.
     e = make_pure_pair(PairSpec(0.5, priors=(0.2, 0.8)))
-    assert brute_ud(e, cfg=FAST) == pytest.approx(0.6, abs=1e-6)
+    assert brute_ud(e) == pytest.approx(0.6, abs=1e-6)
 
 
 def _random_kernel_pair(rng):
@@ -182,21 +180,19 @@ def test_completeness_check_matches_eigvalsh_next_to_the_boundary():
 
 
 def test_candidate_directions_are_cached_and_read_only():
-    dirs = _candidate_directions(SearchConfig(restarts=90, seed=5))
-    assert _candidate_directions(SearchConfig(restarts=90, seed=5)) is dirs
+    dirs = _candidate_directions(SearchConfig(seed=5))
+    assert _candidate_directions(SearchConfig(seed=5)) is dirs
     with pytest.raises(ValueError):
         dirs[0, 0] = 2.0
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
-    reseeded = _candidate_directions(SearchConfig(restarts=90, seed=6))
+    reseeded = _candidate_directions(SearchConfig(seed=6))
     assert reseeded.shape == dirs.shape
-    assert not np.array_equal(reseeded[-90:], dirs[-90:])
-    more = _candidate_directions(SearchConfig(restarts=91, seed=5))
-    assert more.shape[0] == dirs.shape[0] + 1
+    assert not np.array_equal(reseeded[-RESTARTS:], dirs[-RESTARTS:])
 
 
 def test_oracles_are_deterministic():
     e = make_noisy_pair(PairSpec(0.37, 0.22))
-    cfg = SearchConfig(restarts=80, seed=99)
+    cfg = SearchConfig(seed=99)
     assert brute_guess(e, cfg=cfg) == brute_guess(e, cfg=cfg)
     assert brute_confidence(e, cfg=cfg) == brute_confidence(e, cfg=cfg)
     pure = make_pure_pair(PairSpec(0.37))
@@ -205,27 +201,21 @@ def test_oracles_are_deterministic():
 
 def test_search_config_validation():
     with pytest.raises(OutOfRangeError):
-        SearchConfig(restarts=0)
-    with pytest.raises(OutOfRangeError):
-        SearchConfig(grid_resolution=0.0)
-    with pytest.raises(OutOfRangeError):
-        SearchConfig(refine_tolerance=-1.0)
-    with pytest.raises(OutOfRangeError):
         SearchConfig(seed=-1)
 
 
 def test_brute_guess_arity_and_dimension_checks():
     single = Ensemble(((1.0, pure_state([1.0, 0.0])),))
     with pytest.raises(WrongArityError):
-        brute_guess(single, cfg=FAST)
+        brute_guess(single)
     qutrits = Ensemble(
         ((0.5, pure_state([1.0, 0.0, 0.0])), (0.5, pure_state([0.0, 1.0, 0.0])))
     )
     with pytest.raises(DimensionMismatchError):
-        brute_guess(qutrits, cfg=FAST)
+        brute_guess(qutrits)
 
 
 def test_brute_ud_requires_pure_pair():
     noisy = make_noisy_pair(PairSpec(0.5, 0.5))
     with pytest.raises(NotPureError):
-        brute_ud(noisy, cfg=FAST)
+        brute_ud(noisy)
