@@ -40,7 +40,6 @@ from .errors import (
     NotPureError,
     NumericalError,
     OutOfRangeError,
-    UnequalPriorsError,
     WrongArityError,
     WrongRegionError,
     ZeroConfusabilityError,

@@ -30,14 +30,13 @@ import numpy as np
 from scipy import optimize  # noqa: F401
 
 from . import qmath
-from .ensembles import PRIOR_TOL, Ensemble, average_state, canonical_pair_matrices
+from .ensembles import Ensemble, average_state, canonical_pair_matrices, in_unit_interval
 from .errors import (
     DegenerateEnsembleError,
     DimensionMismatchError,
     InfeasibleRateError,
     NumericalError,
     OutOfRangeError,
-    UnequalPriorsError,
     WrongRegionError,
     ZeroRateError,
 )
@@ -71,7 +70,7 @@ class OutcomeRates:
         eta = tuple(float(v) for v in self.eta)
         eta0 = float(self.eta0)
         for v in eta + (eta0,):
-            if not (-1e-12 <= v <= 1.0 + 1e-12):
+            if not in_unit_interval(v):
                 raise InfeasibleRateError(f"rate {v} outside [0, 1]")
         if abs(eta0 + sum(eta) - 1.0) > RATE_SUM_TOL:
             raise InfeasibleRateError(
@@ -151,7 +150,10 @@ class CertReport:
     povm: Povm
     dual: DualCertificate
     gap: float
-    rank_two: bool = False       # above the high boundary no rank-one optimum exists
+
+    @property
+    def rank_two(self) -> bool:  # above the high boundary no rank-one optimum exists
+        return self.branch == "HighRate"
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +179,9 @@ class GeneralCertificate:
 # Analytic qubit certification
 # ---------------------------------------------------------------------------
 
-def certify_qubit(c: float, p: float, eta1: float, priors: tuple = (0.5, 0.5)) -> CertReport:
-    """Certified maximum confidence of detector 1 for the noisy canonical pair.
+def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
+    """Certified maximum confidence of detector 1 for the equal-prior noisy
+    canonical pair; other priors go through certify_general.
 
     Parameters
     ----------
@@ -188,8 +191,6 @@ def certify_qubit(c: float, p: float, eta1: float, priors: tuple = (0.5, 0.5)) -
         Depolarizing noise in [0, 1).
     eta1 : float
         Observed detector-1 rate in (0, 1].
-    priors : pair of floats
-        Must be (1/2, 1/2); other priors go through certify_general.
 
     Returns
     -------
@@ -202,12 +203,12 @@ def certify_qubit(c: float, p: float, eta1: float, priors: tuple = (0.5, 0.5)) -
     ------
     DegenerateEnsembleError
         For c = 0 or c = 1, where the closed forms degenerate.
-    UnequalPriorsError, OutOfRangeError
+    OutOfRangeError
         For inputs outside the analytic path's domain.
+    NumericalError
+        When the closed forms lose the precision their consistency checks
+        demand, for example at c within 1e-12 of 1.
     """
-    q1, q2 = priors
-    if abs(q1 - 0.5) > PRIOR_TOL or abs(q2 - 0.5) > PRIOR_TOL:
-        raise UnequalPriorsError("analytic certification assumes equiprobable states")
     if c in (0.0, 1.0):
         raise DegenerateEnsembleError(f"c={c} not certifiable on the analytic path")
     if not (0.0 < c < 1.0):
@@ -269,7 +270,7 @@ def certify_qubit(c: float, p: float, eta1: float, priors: tuple = (0.5, 0.5)) -
         )
     gap = max(dual_obj - primal, 0.0)
     dual = DualCertificate.from_qubit(lam, X1, X2)
-    return CertReport(value, branch, povm, dual, gap, rank_two=(branch == "HighRate"))
+    return CertReport(value, branch, povm, dual, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +303,11 @@ def verify_kkt(
 ) -> tuple:
     """Check the full optimality system for a (primal, dual) pair.
 
-    Five groups of conditions: primal feasibility (PSD elements,
-    completeness, rate constraints), dual feasibility (K PSD and
-    K + s_y rho dominating each weighted state), Lagrangian stationarity,
-    complementary slackness, and zero duality gap. Returns (ok, residuals)
-    where residuals maps each group to its worst deviation.
+    Five groups of conditions, each checked on every outcome y = 0..n:
+    primal feasibility (PSD elements, completeness, rates), dual
+    feasibility (K + s_y rho - c_y rho_y PSD; outcome 0, the inconclusive
+    element, has c_0 = s_0 = 0, so this is dual_psd), stationarity,
+    complementary slackness, and zero duality gap. Returns (ok, residuals).
     """
     n = povm.n
     if len(alpha.alpha) != n or rates.n != n:
@@ -321,51 +322,35 @@ def verify_kkt(
         raise DimensionMismatchError("dual certificate arity does not match the detectors")
 
     rho = average_state(e).matrix
-    coeff = _objective_weights(e, alpha, rates)
-
-    outcome_elements = povm.outcome_elements()
-    psd_dev = max(max(0.0, -qmath.min_eig(m)) for m in outcome_elements)
-    complete_dev = float(
-        np.linalg.norm(sum(outcome_elements) - np.eye(e.dim))
+    elements = povm.outcome_elements()
+    outcomes = zip(
+        elements,
+        (rates.eta0, *rates.eta),
+        (0.0, *_objective_weights(e, alpha, rates)),
+        (np.zeros_like(rho), *(state.matrix for state in e.states[:n])),
+        (0.0, *dual.s),
+        (dual.r0, *dual.r),
+        (dual.sigma0, *dual.sigma),
     )
-    rate_dev = abs(float(np.real(np.trace(povm.inconclusive @ rho))) - rates.eta0)
-    for y in range(n):
-        rate_dev = max(
-            rate_dev,
-            abs(float(np.real(np.trace(povm.elements[y] @ rho))) - rates.eta[y]),
-        )
-
-    k_psd = max(0.0, -qmath.min_eig(dual.K))
-    feas_dev = 0.0
-    stat_dev = float(np.linalg.norm(dual.r0 * dual.sigma0 - dual.K))
-    slack_dev = abs(dual.r0 * float(np.real(np.trace(povm.inconclusive @ dual.sigma0))))
-    primal = 0.0
-    for y in range(n):
-        target = coeff[y] * e.states[y].matrix
-        feas_dev = max(
-            feas_dev, max(0.0, -qmath.min_eig(dual.K + dual.s[y] * rho - target))
-        )
-        stat_dev = max(
-            stat_dev,
-            float(np.linalg.norm(target + dual.r[y] * dual.sigma[y] - dual.s[y] * rho - dual.K)),
-        )
-        slack_dev = max(
-            slack_dev,
-            abs(dual.r[y] * float(np.real(np.trace(povm.elements[y] @ dual.sigma[y])))),
-        )
-        primal += coeff[y] * float(np.real(np.trace(povm.elements[y] @ e.states[y].matrix)))
-    dual_obj = float(np.real(np.trace(dual.K))) + float(np.dot(dual.s, rates.eta))
-    gap_dev = abs(primal - dual_obj)
+    psd, rate, feas, stat, slack, primal = [], [], [], [], [], 0.0
+    for m, eta, coeff, state, s, r, sigma in outcomes:
+        target = coeff * state
+        psd.append(max(0.0, -qmath.min_eig(m)))
+        rate.append(abs(float(np.real(np.trace(m @ rho))) - eta))
+        feas.append(max(0.0, -qmath.min_eig(dual.K + s * rho - target)))
+        stat.append(float(np.linalg.norm(target + r * sigma - s * rho - dual.K)))
+        slack.append(abs(r * float(np.real(np.trace(m @ sigma)))))
+        primal += coeff * float(np.real(np.trace(m @ state)))
 
     residuals = {
-        "primal_psd": psd_dev,
-        "primal_completeness": complete_dev,
-        "primal_rates": rate_dev,
-        "dual_psd": k_psd,
-        "dual_feasibility": feas_dev,
-        "stationarity": stat_dev,
-        "slackness": slack_dev,
-        "gap": gap_dev,
+        "primal_psd": max(psd),
+        "primal_completeness": float(np.linalg.norm(sum(elements) - np.eye(e.dim))),
+        "primal_rates": max(rate),
+        "dual_psd": feas[0],
+        "dual_feasibility": max(feas[1:]),
+        "stationarity": max(stat),
+        "slackness": max(slack),
+        "gap": abs(primal - dual.objective(rates)),
     }
     ok = all(v <= tol for v in residuals.values())
     return ok, residuals

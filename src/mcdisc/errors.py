@@ -45,10 +45,6 @@ class DegenerateEnsembleError(McdiscError):
     """Analytic certification rejects identical or orthogonal state pairs."""
 
 
-class UnequalPriorsError(McdiscError):
-    """The analytic qubit certifier requires equiprobable preparations."""
-
-
 class DimensionMismatchError(McdiscError):
     """Operators or states of incompatible dimensions were combined."""
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import in_unit_interval
 from .errors import (
     OutOfRangeError,
     ZeroConfusabilityError,
@@ -77,7 +78,7 @@ class ResponseFunction:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (4,):
             raise OutOfRangeError(f"response function needs 4 region weights, got {w.shape}")
-        if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-12):
+        if not all(in_unit_interval(v) for v in w):
             raise OutOfRangeError(f"response weights {w} outside [0, 1]")
         w = np.clip(w, 0.0, 1.0)
         w.flags.writeable = False
@@ -138,14 +139,6 @@ def nc_confidence(m: OnticModel, p: float, xi: ResponseFunction) -> tuple:
     return num / (2.0 * eta1), eta1
 
 
-def _nc_branches(c: float, p: float, eta1: float) -> dict:
-    shrink = 1.0 - (1.0 - p) * c
-    low = 1.0 - p / (2.0 * shrink)
-    mid = 0.5 + (1.0 - p) * (1.0 - c) / (4.0 * eta1)
-    high = (1.0 - p * (1.0 - eta1) / shrink) / (2.0 * eta1)
-    return {"LowRate": low, "Sharp": mid, "HighRate": high}
-
-
 def nc_certified(c: float, p: float, eta1: float) -> BoundResult:
     """Noncontextual ceiling on detector-1 confidence at a given outcome rate.
 
@@ -163,16 +156,15 @@ def nc_certified(c: float, p: float, eta1: float) -> BoundResult:
         raise OutOfRangeError(f"noise p={p} outside [0, 1]")
     if not (0.0 < eta1 <= 1.0):
         raise OutOfRangeError(f"rate eta1={eta1} outside (0, 1]")
-    lo = (1.0 - (1.0 - p) * c) / 2.0
-    hi = (1.0 + (1.0 - p) * c) / 2.0
-    branches = _nc_branches(c, p, eta1)
-    if eta1 <= lo:
-        branch = "LowRate"
-    elif eta1 <= hi:
-        branch = "Sharp"
+    # Only the returned branch is evaluated: shrink = 0 at c = 1, p = 0 (all Sharp).
+    shrink = 1.0 - (1.0 - p) * c
+    if eta1 <= shrink / 2.0:
+        branch, value = "LowRate", 1.0 - p / (2.0 * shrink)
+    elif eta1 <= (1.0 + (1.0 - p) * c) / 2.0:
+        branch, value = "Sharp", 0.5 + (1.0 - p) * (1.0 - c) / (4.0 * eta1)
     else:
-        branch = "HighRate"
-    return BoundResult(branches[branch], "noncontextual", "mcm", branch=branch)
+        branch, value = "HighRate", (1.0 - p * (1.0 - eta1) / shrink) / (2.0 * eta1)
+    return BoundResult(value, "noncontextual", "mcm", branch=branch)
 
 
 def nc_achievability_search(m: OnticModel, p: float, eta1: float) -> ResponseFunction:

@@ -16,11 +16,12 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .certify import OutcomeRates, WeightVector, certify_general, certify_qubit
-from .ensembles import Ensemble
+from .ensembles import PRIOR_TOL, Ensemble
 from .errors import (
     DegenerateEnsembleError,
     DimensionMismatchError,
@@ -144,7 +145,7 @@ def _noisy_pair_parameters(e: Ensemble):
     """Recover (c, p) when the ensemble is an equal-prior depolarized pair."""
     if e.dim != 2 or len(e) != 2:
         return None
-    if abs(e.priors[0] - 0.5) > 1e-9:
+    if abs(e.priors[0] - 0.5) > PRIOR_TOL:
         return None
     purities = [s.purity() for s in e.states]
     if abs(purities[0] - purities[1]) > 1e-8:
@@ -170,23 +171,19 @@ def certify_from_tally(t: Tally, e: Ensemble) -> TallyCertification:
         raise ZeroRateError("detector 1 never clicked; confidence undefined")
     lo, hi = t.wilson()[1]
     lo = max(lo, 1e-12)
-    hi = min(hi, 1.0)
     probe = [eta1_hat, lo, hi]
 
     params = _noisy_pair_parameters(e)
     if params is not None and 0.0 < params[0] < 1.0:
-        c, p = params
-        reports = [certify_qubit(c, p, eta) for eta in probe]
-        values = [r.value for r in reports]
-        return TallyCertification(reports[0], (lo, hi), (min(values), max(values)))
-
-    # General route: constrain only detector 1's rate (a sound relaxation).
-    alpha = WeightVector((1.0,))
-    certs = [
-        certify_general(e, alpha, OutcomeRates((eta,), 1.0 - eta)) for eta in probe
-    ]
-    uppers = [cert.upper for cert in certs]
-    return TallyCertification(certs[0], (lo, hi), (min(uppers), max(uppers)))
+        certify, bound = partial(certify_qubit, *params), "value"
+    else:
+        # General route: constrain only detector 1's rate (a sound relaxation).
+        def certify(eta):
+            return certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta))
+        bound = "upper"
+    reports = [certify(eta) for eta in probe]
+    values = [getattr(report, bound) for report in reports]
+    return TallyCertification(reports[0], (lo, hi), (min(values), max(values)))
 
 
 def tally_to_json(t: Tally) -> str:

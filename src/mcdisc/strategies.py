@@ -26,6 +26,7 @@ from .ensembles import (
     Ensemble,
     PairSpec,
     average_state,
+    in_unit_interval,
     make_pure_pair,
     matrix_from_json,
     matrix_to_json,
@@ -111,7 +112,7 @@ class BoundResult:
     branch: str = ""
 
     def __post_init__(self):
-        if not (-1e-12 <= self.value <= 1.0 + 1e-12):
+        if not in_unit_interval(self.value):
             raise OutOfRangeError(f"bound value {self.value} outside [0, 1]")
         if self.theory not in ("quantum", "noncontextual"):
             raise ValueError(f"unknown theory {self.theory!r}")

@@ -30,7 +30,6 @@ from mcdisc.errors import (
     DimensionMismatchError,
     InfeasibleRateError,
     OutOfRangeError,
-    UnequalPriorsError,
     WrongRegionError,
     ZeroRateError,
 )
@@ -185,8 +184,6 @@ def test_zero_duality_gap_across_parameter_grid():
 
 
 def test_certify_qubit_domain_errors():
-    with pytest.raises(UnequalPriorsError):
-        certify_qubit(0.5, 0.0, 0.5, priors=(0.6, 0.4))
     with pytest.raises(DegenerateEnsembleError):
         certify_qubit(0.0, 0.0, 0.5)
     with pytest.raises(DegenerateEnsembleError):

@@ -1,9 +1,11 @@
 """CLI surface: CSV/JSON shapes, exit codes, sweeps, and reproducibility."""
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from mcdisc import cli
 from mcdisc.cli import main
 from mcdisc.ensembles import PairSpec, ensemble_to_json, make_noisy_pair, make_pure_pair
 from mcdisc.strategies import mcm_quantum, povm_to_json
@@ -208,6 +210,12 @@ def test_certify_lost_precision_exits_two(capsys, c, eta1):
         ["bounds", "--task", "mcm", "--sweep", "p:0:1:x"],
         ["bounds", "--task", "ud", "--out", "{dir}/nonexistent/x.csv"],
         ["certify", "--eta1", "0.5", "--out", "{dir}/nonexistent/x.csv"],
+        ["certify", "--sweep", "eta1:0:1"],
+        ["bounds", "--task", "mcm", "--sweep", "q:0:1:5"],
+        ["certify", "--sweep", "eta1:0.1:1:1"],
+        ["bounds", "--task", "ud", "--sweep", "c:0.5:0.5:5"],
+        ["certify", "--ensemble", "{dir}/pair.json"],
+        ["certify"],
     ],
 )
 def test_bad_user_input_exits_two(tmp_path, capsys, argv):
@@ -218,6 +226,25 @@ def test_bad_user_input_exits_two(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, [a.format(dir=tmp_path) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "patched, argv, message",
+    [
+        ("nc_certified", ["certify", "--c", "0.5", "--p", "0.2", "--sweep", "eta1:0.1:1:5"],
+         "dominance violated at eta1=0.1: 0.842997170285 < 1.5\n"),
+        ("mcm_noncontextual", ["bounds", "--task", "mcm", "--sweep", "p:0:0.5:5"],
+         "dominance violated at x=0: 1 vs 1.5\n"),
+    ],
+)
+def test_sweep_dominance_breach_exits_one(tmp_path, capsys, monkeypatch, patched, argv, message):
+    # A noncontextual value above every quantum one breaks dominance on the
+    # first row: that row goes to stderr and no CSV is written.
+    monkeypatch.setattr(cli, patched, lambda *args: SimpleNamespace(value=1.5))
+    target = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, [*argv, "--out", str(target)])
+    assert code == 1 and out == ""
+    assert err == message and not target.exists()
 
 
 def test_usage_error_exits_two():

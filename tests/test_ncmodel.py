@@ -155,6 +155,15 @@ def test_certified_branch_labels():
     assert nc_certified(0.5, 0.0, 0.75).branch == "Sharp"
 
 
+@pytest.mark.parametrize("eta1", [1e-3, 0.5, 1.0])
+def test_certified_identical_noiseless_states(eta1):
+    # At c = 1, p = 0 both branch points sit at 0 and 1, so every rate is
+    # Sharp; the other branches divide by 1 - (1-p)c = 0.
+    result = nc_certified(1.0, 0.0, eta1)
+    assert result.value == 0.5
+    assert result.branch == "Sharp"
+
+
 def test_certified_continuous_at_region_boundaries():
     eps = 1e-12
     for c in (0.1, 0.5, 0.9):
@@ -237,7 +246,7 @@ def test_noncontextual_closed_forms_agree_at_low_rate():
         m = build_model(float(c))
         for p in np.linspace(0.0, 1.0, 21):
             if c == 1.0 and p == 0.0:
-                continue  # nc_certified divides by 1 - (1-p)c = 0 here
+                continue  # the low-rate range (0, lo] is empty here
             unbounded = mcm_noncontextual(float(c), float(p)).value
             lo = (1.0 - (1.0 - p) * c) / 2.0
             for eta1 in np.linspace(lo / 7.0, lo, 7):

@@ -182,6 +182,12 @@ def test_parameter_recovery_declines_other_shapes():
     assert _noisy_pair_parameters(single) is None
     skewed = make_pure_pair(PairSpec(0.5, priors=(0.7, 0.3)))
     assert _noisy_pair_parameters(skewed) is None
+    # Equal priors means equal within PRIOR_TOL, as everywhere else.
+    nearly_equal = make_noisy_pair(PairSpec(0.37, 0.22, (0.5 + 4e-10, 0.5 - 4e-10)))
+    assert _noisy_pair_parameters(nearly_equal) is None
+    mixed = make_noisy_pair(PairSpec(0.5, 0.3)).states[1]
+    unequal_purity = Ensemble(((0.5, pure_state([1.0, 0.0])), (0.5, mixed)))
+    assert _noisy_pair_parameters(unequal_purity) is None
 
 
 def test_certify_from_tally_brackets_true_value():
