@@ -331,7 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="discrimination bound pairs as CSV")
     b.add_argument("--task", choices=("med", "ud", "mcm"), required=True)
     b.add_argument("--c", type=float, default=0.5, help="confusability")
-    b.add_argument("--p", type=float, default=0.0, help="depolarizing noise")
+    b.add_argument("--p", type=float, default=0.0,
+                   help="depolarizing noise (ignored by --task ud, which always "
+                        "reports the noiseless pair)")
     b.add_argument("--sweep", help="var:start:end:steps with var in {c,p}")
     b.add_argument("--out", help="output path (default stdout)")
     b.set_defaults(fn=cmd_bounds)

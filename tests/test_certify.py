@@ -471,3 +471,17 @@ def test_report_and_dual_shapes():
     assert d.objective(OutcomeRates((0.4,), 0.6)) == pytest.approx(
         report.value, abs=1e-9
     )
+
+
+# --- lazy scipy hook ---------------------------------------------------------------
+
+def test_optimize_attribute_loads_scipy_on_demand():
+    optimize = pytest.importorskip("scipy.optimize")
+    import mcdisc.certify
+
+    assert mcdisc.certify.optimize is optimize
+    with pytest.raises(AttributeError, match="'mcdisc.certify'.*'no_such_name'"):
+        getattr(mcdisc.certify, "no_such_name")
+    namespace = {}
+    exec("from mcdisc.certify import *", namespace)
+    assert namespace["certify_qubit"] is certify_qubit

@@ -1,10 +1,14 @@
 """CLI surface: CSV/JSON shapes, exit codes, sweeps, and reproducibility."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import mcdisc
 from mcdisc import cli
 from mcdisc.cli import main
 from mcdisc.ensembles import PairSpec, ensemble_to_json, make_noisy_pair, make_pure_pair
@@ -35,6 +39,14 @@ def test_bounds_ud_single_point(capsys):
     code, out, err = run_cli(capsys, ["bounds", "--task", "ud", "--c", "0.5"])
     assert code == 0 and err == ""
     assert out == "x,quantum,noncontextual\n0.5,0.707106781187,0.75\n"
+
+
+def test_bounds_ud_ignores_noise(capsys):
+    # Documented: the ud pair is always the noiseless one, whatever --p says.
+    argv = ["bounds", "--task", "ud", "--sweep", "c:0:1:3"]
+    _, noiseless, _ = run_cli(capsys, argv)
+    code, noisy, err = run_cli(capsys, [*argv, "--p", "0.2"])
+    assert code == 0 and err == "" and noisy == noiseless
 
 
 def test_bounds_med_orthogonal(capsys):
@@ -333,3 +345,29 @@ def test_verify_oracle_mode_rejects_bad_arguments(capsys, extra, message):
     code, out, err = run_cli(capsys, ["verify", "--mode", "oracle", *extra])
     assert code == 2 and out == ""
     assert err.startswith(message) and "Traceback" not in err
+
+
+# --- start-up -----------------------------------------------------------------
+
+STARTUP_SCRIPT = """
+import sys
+import mcdisc, mcdisc.cli
+code = mcdisc.cli.main(["certify", "--c", "0.5", "--p", "0.2", "--eta1", "0.3",
+                        "--out", sys.argv[1]])
+print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    # A fresh process, so modules other tests imported do not count. It
+    # imports the same mcdisc as this test, installed or not.
+    src = os.path.dirname(os.path.dirname(mcdisc.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    out = tmp_path / "point.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(out)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert proc.stdout == "0 []\n"
+    assert json.loads(out.read_text())["branch"]
