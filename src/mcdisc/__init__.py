@@ -9,6 +9,7 @@ from .certify import (
     WeightVector,
     certify_general,
     certify_qubit,
+    certify_qubit_ensemble,
     delta_gap,
     verify_kkt,
 )

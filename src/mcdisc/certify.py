@@ -11,11 +11,17 @@ deficit is free and the unconstrained maximum-confidence value is
 certified; in the middle, a sharp rank-one detector is forced; above,
 only rank-two detectors (a multiple of the identity plus a projector)
 reach the rate. certify_qubit builds the optimal detector and a matching
-dual certificate with zero duality gap, verify_kkt checks the full
-optimality system of any (primal, dual) pair, and certify_general brackets
-the value for arbitrary small ensembles (dimension 2 to 4, any number of
-detectors) by one primal-dual interior-point solve of the certification
-SDP, whose primal and dual ends are then repaired to exact feasibility.
+dual certificate with zero duality gap. certify_qubit_ensemble does the
+same for one detector on any qubit ensemble (any priors, any number of
+members, mixed states), where the constraints 0 <= M <= I are two
+spheroids in the Bloch ball and the optimum is one of three closed-form
+candidates. verify_kkt checks the full optimality system of any (primal,
+dual) pair, and certify_general brackets the value for arbitrary small
+ensembles (dimension 2 to 4, any number of detectors) by one primal-dual
+interior-point solve of the certification SDP, whose primal and dual ends
+are then repaired to exact feasibility. The tally route
+(simulator.certify_from_tally) picks by dimension: qubit ensembles take
+certify_qubit_ensemble, all others certify_general.
 """
 from __future__ import annotations
 
@@ -46,6 +52,7 @@ __all__ = [
     "CertReport",
     "GeneralCertificate",
     "certify_qubit",
+    "certify_qubit_ensemble",
     "verify_kkt",
     "certify_general",
     "delta_gap",
@@ -53,6 +60,9 @@ __all__ = [
 
 RATE_SUM_TOL = 1e-9
 KKT_TOL = 1e-9
+CERT_RATE_TOL = 1e-10    # rate deviation an analytic certificate may show
+CERT_VALUE_TOL = 1e-9    # value and gap deviation, relative to max(1, c_1) for ensembles
+CERT_ACTIVE_TOL = 1e-14  # constraint value below which a qubit candidate counts as feasible
 
 
 def __getattr__(name: str):
@@ -190,7 +200,7 @@ class GeneralCertificate:
 
 def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
     """Certified maximum confidence of detector 1 for the equal-prior noisy
-    canonical pair; other priors go through certify_general.
+    canonical pair; certify_qubit_ensemble takes any qubit ensemble.
 
     Parameters
     ----------
@@ -272,14 +282,158 @@ def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
     rate = float(np.real(np.trace(m1 @ rho)))
     primal = float(np.real(np.trace(m1 @ rho1))) / (2.0 * eta1)
     dual_obj = lam * eta1 + float(np.real(np.trace(X2)))
-    if abs(rate - eta1) > 1e-10 or abs(primal - value) > 1e-9 or abs(dual_obj - primal) > 1e-9:
-        raise NumericalError(
-            f"analytic certification lost consistency: rate dev {rate - eta1:.2e}, "
-            f"value dev {primal - value:.2e}, gap {dual_obj - primal:.2e}"
-        )
+    _check_consistency(rate - eta1, primal - value, dual_obj - primal, 1.0)
     gap = max(dual_obj - primal, 0.0)
     dual = DualCertificate.from_qubit(lam, X1, X2)
     return CertReport(value, branch, povm, dual, gap)
+
+
+def _check_consistency(rate_dev: float, value_dev: float, gap: float, scale: float):
+    """Raise NumericalError unless an analytic certificate hits its rate and
+    value and closes its duality gap. The rate is judged absolutely, value
+    and gap relative to scale (1 keeps them absolute)."""
+    if (abs(rate_dev) > CERT_RATE_TOL or abs(value_dev) > CERT_VALUE_TOL * scale
+            or abs(gap) > CERT_VALUE_TOL * scale):
+        raise NumericalError(
+            f"analytic certification lost consistency: rate dev {rate_dev:.2e}, "
+            f"value dev {value_dev:.2e}, gap {gap:.2e}"
+        )
+
+
+def _spheroid_max(g: np.ndarray, a: np.ndarray, flat: float):
+    """Largest g.v over |v| + a.v <= 1, for flat = 1 - |a|^2 >= 0, as
+    (lam, u, root).
+
+    lam is the maximum: the smallest lam >= 0 with |g - lam a| <= lam. The
+    maximiser is along the unit vector u = (g - lam a)/lam, and over
+    |v| + a.v <= h it is v = h lam u / root, where
+    root = sqrt((g.a)^2 + |g|^2 flat). Returns None where the spheroid is
+    unbounded along g (flat = 0 and g.a <= 0).
+    """
+    ga, gg = float(g @ a), float(g @ g)
+    root = math.sqrt(ga * ga + gg * flat)
+    if root == 0.0 or (ga < 0.0 and flat == 0.0):
+        return None
+    # Of the two forms of the positive root, take the one without cancellation.
+    lam = gg / (ga + root) if ga >= 0.0 else (root - ga) / flat
+    return lam, (g - lam * a) / lam, root
+
+
+def certify_qubit_ensemble(e: Ensemble, eta1: float) -> CertReport:
+    """Certified maximum confidence of a single detector for member 1 of any
+    qubit ensemble (any priors, any number of members, mixed states), in
+    closed form.
+
+    With M = t I + v.sigma, rho_x = (I + r_x.sigma)/2 and rbar the Bloch
+    vector of the average state, the rate fixes t = eta1 - rbar.v and the
+    value is q_1 (eta1 + g.v)/eta1 with g = r_1 - rbar. 0 <= M <= I becomes
+    two spheroids with a focus at the origin, |v| + rbar.v <= eta1 (M PSD)
+    and |v| - rbar.v <= 1 - eta1 (I - M PSD). The problem is convex, so the
+    optimum is the first of three candidates that meets both constraints
+    (within CERT_ACTIVE_TOL): the maximum over the first spheroid alone
+    (branch LowRate), over the second alone (HighRate), or over the circle
+    where both boundaries meet, rbar.v = eta1 - 1/2, |v| = 1/2, where M is
+    a projector (Sharp). A second-spheroid optimum that also touches the
+    first is named Sharp, so the branch boundaries fall as in
+    certify_qubit. For g = 0 every detector has confidence q_1: M = eta1 I
+    is returned, named LowRate up to eta1 = 1/2 and HighRate above, the
+    fully mixed limit of certify_qubit's branches.
+
+    The multipliers (mu1, mu2) of the two spheroids give the dual: with
+    c_1 = q_1/eta1 and u the unit vector of the optimal v, K = (c_1 mu2/2)
+    (I + u.sigma), s = c_1 (1 + mu1 - mu2), and the detector slack is
+    (c_1 mu1/2) (I - u.sigma). The consistency check is relative to
+    max(1, c_1), because c_1 grows as eta1 falls.
+
+    Raises
+    ------
+    DimensionMismatchError
+        For an ensemble that is not a qubit ensemble.
+    OutOfRangeError
+        For eta1 outside (0, 1].
+    NumericalError
+        When the certificate misses its rate or value or leaves a duality gap.
+    """
+    if e.dim != 2:
+        raise DimensionMismatchError(f"qubit certification needs dim 2, got {e.dim}")
+    if not (0.0 < eta1 <= 1.0):
+        raise OutOfRangeError(f"rate eta1={eta1} outside (0, 1]")
+    q1, priors = e.priors[0], np.asarray(e.priors)
+    bloch = 2.0 * np.array([qmath.bloch_vector(s.matrix) for s in e.states])
+    rbar = priors @ bloch
+    g = bloch[0] - rbar
+    # 1 - |rbar|^2 as the mean purity deficit plus the spread of the Bloch
+    # vectors, which keeps its precision as |rbar| -> 1 (near-identical
+    # pure states), where 1 - |rbar|^2 itself cancels.
+    deficit = max(float(priors @ (1.0 - np.einsum("xi,xi->x", bloch, bloch))), 0.0)
+    flat = deficit + float(priors @ np.einsum("xi,xi->x", bloch - rbar, bloch - rbar))
+
+    branch, v, u, mu1, mu2 = _qubit_optimum(g, rbar, flat, eta1)
+    t = eta1 - float(rbar @ v)
+    m1 = qmath.bloch_op(t, v)
+    povm = Povm((m1,), qmath.bloch_op(1.0 - t, -v))
+    coeff = q1 / eta1
+    value = q1 + coeff * float(g @ v)
+    K = (coeff * mu2 / 2.0) * qmath.bloch_op(1.0, u)
+    s = coeff * (1.0 + mu1 - mu2)
+    dual = DualCertificate.from_slacks(K, (s,), [(coeff * mu1 / 2.0) * qmath.bloch_op(1.0, -u)])
+
+    rho = sum(q * state.matrix for q, state in e.members)
+    rate = float(np.real(np.trace(m1 @ rho)))
+    primal = coeff * float(np.real(np.trace(m1 @ e.states[0].matrix)))
+    dual_obj = float(np.real(np.trace(K))) + s * eta1
+    _check_consistency(rate - eta1, primal - value, dual_obj - primal, max(1.0, coeff))
+    return CertReport(value, branch, povm, dual, max(dual_obj - primal, 0.0))
+
+
+def _qubit_optimum(g: np.ndarray, rbar: np.ndarray, flat: float, eta1: float) -> tuple:
+    """(branch, v, u, mu1, mu2) of certify_qubit_ensemble's reduced problem:
+    max g.v over |v| + rbar.v <= eta1 and |v| - rbar.v <= 1 - eta1."""
+    if not g.any():
+        return ("LowRate" if eta1 <= 0.5 else "HighRate"), np.zeros(3), np.zeros(3), 0.0, 0.0
+
+    def excess(v, sign, h):                 # constraint value |v| + sign rbar.v - h
+        return math.hypot(*v) + sign * float(rbar @ v) - h
+
+    for sign, h, other, name in ((1.0, eta1, 1.0 - eta1, "LowRate"), (-1.0, 1.0 - eta1, eta1, "HighRate")):
+        found = _spheroid_max(g, sign * rbar, flat)
+        if found is None:
+            continue
+        lam, u, root = found
+        v = (h * lam / root) * u
+        if excess(v, -sign, other) <= CERT_ACTIVE_TOL:
+            if sign < 0.0 and excess(v, 1.0, eta1) >= -CERT_ACTIVE_TOL:
+                name = "Sharp"
+            return (name, v, u, lam, 0.0) if sign > 0.0 else (name, v, u, 0.0, lam)
+
+    # Both boundaries active: |v| = 1/2 and rbar.v = eta1 - 1/2. Neither
+    # single candidate is feasible, so the circle is proper (|rbar| > 0,
+    # radius > 0) and g is not along rbar; anything else is lost precision.
+    # Its radius is sqrt((1/2 - along)(1/2 + along)) with
+    # along = (eta1 - 1/2)/|rbar|. For |rbar| > 1/2 the two factors take
+    # (1 - |rbar|)/2 = flat/(2 (1 + |rbar|)), so that a small circle near
+    # the tip of a long spheroid (|rbar| -> 1) keeps its precision.
+    lost = NumericalError(f"qubit certification lost precision at eta1={eta1}")
+    norm_r = math.hypot(*rbar)
+    if norm_r > 0.5:
+        tip = flat / (2.0 * (1.0 + norm_r))
+        spread = (1.0 - eta1 - tip) * (eta1 - tip)
+    else:
+        spread = (norm_r / 2.0 - (eta1 - 0.5)) * (norm_r / 2.0 + (eta1 - 0.5))
+    if norm_r == 0.0 or spread <= 0.0:
+        raise lost
+    axis = rbar / norm_r
+    along, across = (eta1 - 0.5) / norm_r, math.sqrt(spread) / norm_r
+    g_par = float(g @ axis)
+    g_perp = g - g_par * axis
+    size = math.hypot(*g_perp)
+    if size == 0.0:
+        raise lost
+    v = along * axis + (across / size) * g_perp
+    # g = (mu1 + mu2) u + (mu1 - mu2) rbar with u = 2 v.
+    total = size / (2.0 * across)
+    diff = (g_par - 2.0 * total * along) / norm_r
+    return "Sharp", v, 2.0 * v, max((total + diff) / 2.0, 0.0), max((total - diff) / 2.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +471,10 @@ def verify_kkt(
     feasibility (K + s_y rho - c_y rho_y PSD; outcome 0, the inconclusive
     element, has c_0 = s_0 = 0, so this is dual_psd), stationarity,
     complementary slackness, and zero duality gap. Returns (ok, residuals).
+
+    Stationarity is the norm of c_y rho_y + r_y sigma_y - s_y rho - K over
+    max(1, max_y c_y): its terms grow with c_y = alpha_y q_y / eta_y as a
+    rate falls, and so does their rounding. All other residuals are absolute.
     """
     n = povm.n
     if len(alpha.alpha) != n or rates.n != n:
@@ -332,10 +490,11 @@ def verify_kkt(
 
     rho = average_state(e).matrix
     elements = povm.outcome_elements()
+    coeffs = _objective_weights(e, alpha, rates)
     outcomes = zip(
         elements,
         (rates.eta0, *rates.eta),
-        (0.0, *_objective_weights(e, alpha, rates)),
+        (0.0, *coeffs),
         (np.zeros_like(rho), *(state.matrix for state in e.states[:n])),
         (0.0, *dual.s),
         (dual.r0, *dual.r),
@@ -357,7 +516,7 @@ def verify_kkt(
         "primal_rates": max(rate),
         "dual_psd": feas[0],
         "dual_feasibility": max(feas[1:]),
-        "stationarity": max(stat),
+        "stationarity": max(stat) / max(1.0, *coeffs),
         "slackness": max(slack),
         "gap": abs(primal - dual.objective(rates)),
     }

@@ -153,8 +153,8 @@ def inv_sqrt(a: np.ndarray) -> np.ndarray:
 
 def bloch_op(t: float, v) -> np.ndarray:
     """Qubit operator t*I + v . sigma for a real 3-vector v."""
-    v = np.asarray(v, dtype=float)
-    return t * np.eye(2, dtype=complex) + np.tensordot(v, _PAULI, axes=1)
+    x, y, z = (float(c) for c in v)
+    return np.array([[t + z, complex(x, -y)], [complex(x, y), t - z]])
 
 
 def bloch_vector(a: np.ndarray) -> np.ndarray:

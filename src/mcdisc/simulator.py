@@ -9,6 +9,10 @@ trials per preparation from the priors, then each preparation's outcomes
 from its row of outcome probabilities. The cost grows with preparations x
 outcomes, not with the trial count. Counts are reproducible bit for bit:
 one counter-based stream is derived from the seed.
+
+certify_from_tally routes by dimension alone: a qubit ensemble is
+certified in closed form (certify_qubit_ensemble), any other by the
+general SDP bracket.
 """
 from __future__ import annotations
 
@@ -20,10 +24,9 @@ from functools import partial
 
 import numpy as np
 
-from .certify import OutcomeRates, WeightVector, certify_general, certify_qubit
-from .ensembles import PRIOR_TOL, Ensemble
+from .certify import OutcomeRates, WeightVector, certify_general, certify_qubit_ensemble
+from .ensembles import Ensemble
 from .errors import (
-    DegenerateEnsembleError,
     DimensionMismatchError,
     InvalidSpecError,
     OutOfRangeError,
@@ -141,29 +144,13 @@ def run(spec: ExperimentSpec) -> Tally:
     return Tally(rng.multinomial(per_prep, _distribution(probs)), spec.trials)
 
 
-def _noisy_pair_parameters(e: Ensemble):
-    """Recover (c, p) when the ensemble is an equal-prior depolarized pair."""
-    if e.dim != 2 or len(e) != 2:
-        return None
-    if abs(e.priors[0] - 0.5) > PRIOR_TOL:
-        return None
-    purities = [s.purity() for s in e.states]
-    if abs(purities[0] - purities[1]) > 1e-8:
-        return None
-    r_sq = 2.0 * purities[0] - 1.0
-    if r_sq < 1e-12:
-        raise DegenerateEnsembleError("both states maximally mixed; c unrecoverable")
-    overlap = float(np.real(np.trace(e.states[0].matrix @ e.states[1].matrix)))
-    c = ((2.0 * overlap - 1.0) / r_sq + 1.0) / 2.0
-    p = 1.0 - math.sqrt(r_sq)
-    if not (0.0 <= p < 1.0):
-        return None
-    return min(max(c, 0.0), 1.0), p
-
-
 def certify_from_tally(t: Tally, e: Ensemble) -> TallyCertification:
     """Certify detector 1 from empirical rates, at the point estimate and
     both Wilson 95% endpoints; the value interval spans all three results.
+
+    Only detector 1's rate is constrained (a sound relaxation). The values
+    are certify_qubit_ensemble's for a qubit ensemble and the upper ends of
+    certify_general's brackets otherwise.
     """
     rates = t.rates()
     eta1_hat = float(rates[1])
@@ -173,11 +160,9 @@ def certify_from_tally(t: Tally, e: Ensemble) -> TallyCertification:
     lo = max(lo, 1e-12)
     probe = [eta1_hat, lo, hi]
 
-    params = _noisy_pair_parameters(e)
-    if params is not None and 0.0 < params[0] < 1.0:
-        certify, bound = partial(certify_qubit, *params), "value"
+    if e.dim == 2:
+        certify, bound = partial(certify_qubit_ensemble, e), "value"
     else:
-        # General route: constrain only detector 1's rate (a sound relaxation).
         def certify(eta):
             return certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta))
         bound = "upper"

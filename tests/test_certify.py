@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcdisc import qmath
 from mcdisc.certify import (
     CertReport,
     DualCertificate,
@@ -13,6 +16,7 @@ from mcdisc.certify import (
     WeightVector,
     certify_general,
     certify_qubit,
+    certify_qubit_ensemble,
     delta_gap,
     verify_kkt,
 )
@@ -29,6 +33,7 @@ from mcdisc.errors import (
     DegenerateEnsembleError,
     DimensionMismatchError,
     InfeasibleRateError,
+    NumericalError,
     OutOfRangeError,
     WrongRegionError,
     ZeroRateError,
@@ -424,6 +429,153 @@ def test_general_certificate_is_reported_honestly():
     assert cert.upper >= cert.lower - 1e-9
     # the dual objective recomputed from the certificate matches the bound
     assert cert.dual.objective(rates) == pytest.approx(cert.upper, abs=1e-9)
+
+
+# --- closed-form qubit ensembles --------------------------------------------------
+
+def random_qubit_ensemble(rng, members, ranks=(1, 2)):
+    """Seeded qubit ensemble with priors in (0.05, 0.95) before normalising
+    and states of a rank drawn from ranks (complex Gaussian factors)."""
+    priors = rng.uniform(0.05, 0.95, size=members)
+    priors = priors / priors.sum()
+    priors[-1] = 1.0 - priors[:-1].sum()
+    states = []
+    for _ in range(members):
+        rank = int(rng.choice(ranks))
+        w = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+        m = w @ w.conj().T
+        states.append(DensityMatrix(m / np.real(np.trace(m))))
+    return Ensemble(tuple(zip((float(q) for q in priors), states)))
+
+
+def inside_general_bracket(e, eta):
+    alpha, rates = WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta)
+    report = certify_qubit_ensemble(e, eta)
+    bracket = certify_general(e, alpha, rates)
+    assert bracket.lower - 1e-10 <= report.value <= bracket.upper + 1e-10, (eta, report.branch)
+    return report
+
+
+@pytest.mark.parametrize(
+    "members,ranks",
+    [(2, (1,)), (2, (2,)), (2, (1, 2)), (3, (1, 2))],
+    ids=["pure", "mixed", "pure-and-mixed", "three-member"],
+)
+def test_qubit_ensemble_inside_general_bracket(members, ranks):
+    rng = np.random.default_rng([members, *ranks])
+    alpha = WeightVector((1.0,))
+    for _ in range(8):
+        e = random_qubit_ensemble(rng, members, ranks)
+        for eta in (float(rng.uniform(0.01, 0.99)), 1e-6, 1e-3, 0.999, 1.0):
+            report = inside_general_bracket(e, eta)
+            ok, residuals = verify_kkt(e, alpha, OutcomeRates((eta,), 1.0 - eta), report.povm, report.dual)
+            assert ok, (eta, report.branch, residuals)
+
+
+def test_qubit_ensemble_matches_certify_qubit_on_kkt_grid():
+    # Acceptance criterion 6's grid: the same value and branch as the
+    # canonical-pair formulas; on a 6 x 6 x 6 subset, a certificate that
+    # passes verify_kkt.
+    alpha = WeightVector((1.0,))
+    picks = {0, 4, 8, 11, 15, 19}
+    for i, c in enumerate(np.linspace(0.05, 0.95, 20)):
+        for j, p in enumerate(np.linspace(0.0, 0.9, 20)):
+            e = make_noisy_pair(PairSpec(float(c), float(p)))
+            for k, eta1 in enumerate(np.linspace(0.05, 0.99, 20)):
+                eta1 = float(eta1)
+                expected = certify_qubit(float(c), float(p), eta1)
+                report = certify_qubit_ensemble(e, eta1)
+                assert abs(report.value - expected.value) <= 1e-13, (c, p, eta1)
+                assert report.branch == expected.branch, (c, p, eta1)
+                if {i, j, k} <= picks:
+                    ok, residuals = verify_kkt(
+                        e, alpha, OutcomeRates((eta1,), 1.0 - eta1), report.povm, report.dual
+                    )
+                    assert ok, (c, p, eta1, residuals)
+
+
+def test_qubit_ensemble_unequal_priors_match_general_route():
+    # Priors the canonical-pair formulas do not cover, across all branches.
+    for q1 in (0.2, 0.45, 0.8):
+        e = make_noisy_pair(PairSpec(0.4, 0.15, (q1, 1.0 - q1)))
+        branches = {inside_general_bracket(e, float(eta)).branch for eta in np.linspace(0.02, 1.0, 15)}
+        assert branches == {"LowRate", "Sharp", "HighRate"}
+
+
+def test_qubit_ensemble_identical_pure_states():
+    # |rbar| = 1: every detector has confidence q_1.
+    state = pure_state([0.6, 0.8j])
+    e = Ensemble(((0.3, state), (0.7, state)))
+    for eta in (1e-9, 0.3, 0.5, 1.0):
+        report = inside_general_bracket(e, eta)
+        assert report.value == pytest.approx(0.3, abs=1e-15)
+
+
+def test_qubit_ensemble_ball_when_average_is_maximally_mixed():
+    # rbar = 0 (orthogonal pure pair, equal priors): the feasible set is the
+    # ball |v| <= min(eta1, 1 - eta1), so the value is 1 up to eta1 = 1/2
+    # and 1/(2 eta1) above.
+    e = make_pure_pair(PairSpec(0.0))
+    for eta in (0.1, 0.5, 0.7, 1.0):
+        report = inside_general_bracket(e, eta)
+        assert report.value == pytest.approx(min(1.0, 0.5 / eta), abs=1e-15)
+    assert certify_qubit_ensemble(e, 0.5).branch == "LowRate"
+    assert certify_qubit_ensemble(e, 0.7).branch == "HighRate"
+
+
+def test_qubit_ensemble_fully_mixed_pair_certifies_prior():
+    e = make_noisy_pair(PairSpec(0.5, 1.0))
+    alpha = WeightVector((1.0,))
+    for eta, branch in ((0.2, "LowRate"), (0.5, "LowRate"), (0.8, "HighRate")):
+        report = certify_qubit_ensemble(e, eta)
+        assert (report.value, report.branch) == (0.5, branch)
+        ok, residuals = verify_kkt(e, alpha, OutcomeRates((eta,), 1.0 - eta), report.povm, report.dual)
+        assert ok, residuals
+
+
+def test_qubit_ensemble_rare_clicks_keep_consistency():
+    # certify_qubit loses its dual consistency at these rates; the LowRate
+    # value does not depend on eta1.
+    e = make_noisy_pair(PairSpec(0.5, 0.2))
+    low = certify_qubit(0.5, 0.2, 1e-3).value
+    for eta in (1e-10, 3e-12):
+        with pytest.raises(NumericalError):
+            certify_qubit(0.5, 0.2, eta)
+        report = certify_qubit_ensemble(e, eta)
+        assert report.branch == "LowRate"
+        assert report.value == pytest.approx(low, abs=1e-15)
+
+
+def test_qubit_ensemble_domain_errors():
+    with pytest.raises(DimensionMismatchError):
+        certify_qubit_ensemble(Ensemble(((1.0, pure_state([1.0, 0.0, 0.0])),)), 0.5)
+    e = make_pure_pair(PairSpec(0.5))
+    for eta in (0.0, -0.1, 1.5):
+        with pytest.raises(OutOfRangeError):
+            certify_qubit_ensemble(e, eta)
+
+
+bloch_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda r: 1e-3 <= np.linalg.norm(r) <= 1.0
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    q1=st.floats(0.05, 0.95),
+    r1=bloch_vectors,
+    r2=bloch_vectors,
+    shrink=st.floats(0.0, 1.0),
+    etas=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)).map(sorted),
+)
+def test_qubit_ensemble_non_increasing_in_rate(q1, r1, r2, shrink, etas):
+    # A detector at rate eta_b scaled by eta_a/eta_b is one at rate eta_a
+    # with the same confidence, so the certified value cannot rise with the
+    # rate; and each value is inside the general route's bracket.
+    states = [DensityMatrix(qmath.bloch_op(0.5, r / 2.0)) for r in (r1, shrink * r2)]
+    e = Ensemble(((q1, states[0]), (1.0 - q1, states[1])))
+    low, high = (inside_general_bracket(e, eta).value for eta in etas)
+    assert low >= high - 1e-12
 
 
 # --- gap relation ---------------------------------------------------------------

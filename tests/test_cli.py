@@ -1,18 +1,21 @@
 """CLI surface: CSV/JSON shapes, exit codes, sweeps, and reproducibility."""
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import mcdisc
 from mcdisc import cli
 from mcdisc.cli import main
 from mcdisc.ensembles import PairSpec, ensemble_to_json, make_noisy_pair, make_pure_pair
-from mcdisc.strategies import mcm_quantum, povm_to_json
+from mcdisc.simulator import wilson_interval
+from mcdisc.strategies import Povm, mcm_quantum, povm_to_json
 
 
 def run_cli(capsys, argv):
@@ -308,6 +311,46 @@ def test_simulate_certify_payload(tmp_path, capsys):
     assert cert["branch"] in {"LowRate", "Sharp", "HighRate"}
 
 
+def test_simulate_certify_rare_clicks(tmp_path, capsys):
+    # Detector 1 clicks about 3 times in 1e12 trials, so the Wilson lower
+    # endpoint is near 1e-12, where certify_qubit loses its dual consistency.
+    spec = tmp_path / "rare.json"
+    doc = {
+        "ensemble": json.loads(ensemble_to_json(make_noisy_pair(PairSpec(0.5, 0.2)))),
+        "povm": povm_to_json(Povm((2e-12 * np.eye(2),), (1.0 - 2e-12) * np.eye(2))),
+        "trials": 10**12,
+        "seed": 4,
+    }
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["simulate", "--spec", str(spec), "--certify"])
+    assert code == 0, err
+    payload = json.loads(out)
+    lo, hi = payload["certification"]["value_interval"]
+    assert math.isfinite(lo) and lo <= hi
+    counts = np.array(payload["counts"])
+    conf_lo, _ = wilson_interval(int(counts[0, 1]), int(counts[:, 1].sum()), z=3.0)
+    assert conf_lo <= hi + 1e-12        # acceptance criterion 8's rule
+
+
+def test_simulate_certify_unequal_priors_is_analytic(tmp_path, capsys):
+    # Every qubit ensemble takes the closed form: value and branch are set
+    # and upper, the general route's field, is null.
+    spec = tmp_path / "skewed.json"
+    doc = {
+        "ensemble": json.loads(ensemble_to_json(make_noisy_pair(PairSpec(0.4, 0.1, (0.3, 0.7))))),
+        "povm": povm_to_json(Povm((0.3 * np.eye(2),), 0.7 * np.eye(2))),
+        "trials": 100_000,
+        "seed": 5,
+    }
+    spec.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, ["simulate", "--spec", str(spec), "--certify"])
+    assert code == 0
+    cert = json.loads(out)["certification"]
+    assert cert["upper"] is None
+    assert cert["branch"] in {"LowRate", "Sharp", "HighRate"}
+    assert min(cert["value_interval"]) <= cert["value"] <= max(cert["value_interval"])
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_kkt_mode(capsys):
@@ -317,6 +360,15 @@ def test_verify_kkt_mode(capsys):
     assert code == 0
     assert "kkt ok" in out
     assert "stationarity" in out and "gap" in out
+
+
+def test_verify_kkt_mode_small_rate(capsys):
+    # Stationarity is judged relative to c_1 = q_1/eta1 = 5e7 here.
+    code, out, _ = run_cli(
+        capsys, ["verify", "--mode", "kkt", "--c", "0.5", "--p", "0.2", "--eta1", "1e-8"]
+    )
+    assert code == 0
+    assert "kkt ok (branch LowRate)" in out
 
 
 def test_verify_kkt_needs_eta1(capsys):

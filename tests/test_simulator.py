@@ -7,10 +7,17 @@ import time
 import numpy as np
 import pytest
 
-from mcdisc.certify import certify_qubit
+from mcdisc.certify import (
+    CertReport,
+    GeneralCertificate,
+    OutcomeRates,
+    WeightVector,
+    certify_general,
+    certify_qubit,
+    certify_qubit_ensemble,
+)
 from mcdisc.ensembles import Ensemble, PairSpec, average_state, make_noisy_pair, make_pure_pair, pure_state
 from mcdisc.errors import (
-    DegenerateEnsembleError,
     DimensionMismatchError,
     InvalidSpecError,
     OutOfRangeError,
@@ -24,7 +31,6 @@ from mcdisc.simulator import (
     tally_from_json,
     tally_to_json,
     wilson_interval,
-    _noisy_pair_parameters,
 )
 from mcdisc.strategies import Povm, helstrom, mcm_quantum
 
@@ -162,32 +168,65 @@ def test_tally_json_round_trip():
         tally_from_json("[]")
 
 
-def test_parameter_recovery_from_noisy_pair():
-    e = make_noisy_pair(PairSpec(0.37, 0.22))
-    recovered = _noisy_pair_parameters(e)
-    assert recovered is not None
-    c, p = recovered
-    assert c == pytest.approx(0.37, abs=1e-9)
-    assert p == pytest.approx(0.22, abs=1e-9)
+def _tally(e, povm, trials=200_000, seed=23):
+    return run(ExperimentSpec(e, povm, trials=trials, seed=seed))
 
 
-def test_parameter_recovery_rejects_fully_mixed():
+def _probes(tally):
+    lo, hi = tally.wilson()[1]
+    return [float(tally.rates()[1]), max(lo, 1e-12), hi]
+
+
+def test_tally_equal_prior_pair_matches_certify_qubit():
+    # The equal-prior depolarized pair takes the closed form, which agrees
+    # with the canonical-pair formulas at every probe.
+    c, p = 0.37, 0.22
+    e = make_noisy_pair(PairSpec(c, p))
+    tally = _tally(e, mcm_quantum(c, p).measurement)
+    cert = certify_from_tally(tally, e)
+    assert isinstance(cert.report, CertReport)
+    values = [certify_qubit(c, p, eta).value for eta in _probes(tally)]
+    assert cert.report.value == pytest.approx(values[0], abs=1e-13)
+    assert cert.value_interval == pytest.approx((min(values), max(values)), abs=1e-13)
+    assert cert.report.branch == certify_qubit(c, p, _probes(tally)[0]).branch
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        # priors equal only within 4e-10, beyond PRIOR_TOL
+        make_noisy_pair(PairSpec(0.37, 0.22, (0.5 + 4e-10, 0.5 - 4e-10))),
+        # a pure and a mixed state, equal priors
+        Ensemble(((0.5, pure_state([1.0, 0.0])), (0.5, make_noisy_pair(PairSpec(0.5, 0.3)).states[1]))),
+        # skewed priors
+        make_pure_pair(PairSpec(0.5, priors=(0.7, 0.3))),
+        # one member
+        Ensemble(((1.0, pure_state([0.6, 0.8j])),)),
+    ],
+    ids=["near-equal-priors", "unequal-purities", "skewed-priors", "single-member"],
+)
+def test_tally_qubit_shapes_take_closed_form(e):
+    # Every qubit ensemble is certified in closed form, inside the general
+    # route's bracket at each probe.
+    tally = _tally(e, Povm((0.4 * np.eye(2, dtype=complex),), 0.6 * np.eye(2, dtype=complex)))
+    cert = certify_from_tally(tally, e)
+    assert isinstance(cert.report, CertReport)
+    values = []
+    for eta in _probes(tally):
+        bracket = certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta))
+        value = certify_qubit_ensemble(e, eta).value
+        assert bracket.lower - 1e-10 <= value <= bracket.upper + 1e-10
+        values.append(value)
+    assert cert.value_interval == (min(values), max(values))
+
+
+def test_tally_fully_mixed_pair_certifies_prior():
+    # Both states I/2: every detector has confidence q_1 = 1/2.
     e = make_noisy_pair(PairSpec(0.5, 1.0))
-    with pytest.raises(DegenerateEnsembleError):
-        _noisy_pair_parameters(e)
-
-
-def test_parameter_recovery_declines_other_shapes():
-    single = Ensemble(((1.0, pure_state([1.0, 0.0])),))
-    assert _noisy_pair_parameters(single) is None
-    skewed = make_pure_pair(PairSpec(0.5, priors=(0.7, 0.3)))
-    assert _noisy_pair_parameters(skewed) is None
-    # Equal priors means equal within PRIOR_TOL, as everywhere else.
-    nearly_equal = make_noisy_pair(PairSpec(0.37, 0.22, (0.5 + 4e-10, 0.5 - 4e-10)))
-    assert _noisy_pair_parameters(nearly_equal) is None
-    mixed = make_noisy_pair(PairSpec(0.5, 0.3)).states[1]
-    unequal_purity = Ensemble(((0.5, pure_state([1.0, 0.0])), (0.5, mixed)))
-    assert _noisy_pair_parameters(unequal_purity) is None
+    tally = _tally(e, Povm((0.3 * np.eye(2, dtype=complex),), 0.7 * np.eye(2, dtype=complex)))
+    cert = certify_from_tally(tally, e)
+    assert cert.report.value == 0.5
+    assert cert.value_interval == (0.5, 0.5)
 
 
 def test_certify_from_tally_brackets_true_value():
@@ -227,6 +266,13 @@ def test_certify_from_tally_general_route():
     cert = certify_from_tally(tally, e)
     lo, hi = cert.value_interval
     assert 0.5 <= lo <= hi <= 1.0 + 1e-9
+    # A qutrit ensemble keeps the SDP route; its values are the upper ends.
+    assert isinstance(cert.report, GeneralCertificate)
+    uppers = [
+        certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta)).upper
+        for eta in _probes(tally)
+    ]
+    assert cert.value_interval == (min(uppers), max(uppers))
 
 
 def test_experiment_spec_validation():
