@@ -11,7 +11,9 @@ deficit is free and the unconstrained maximum-confidence value is
 certified; in the middle, a sharp rank-one detector is forced; above,
 only rank-two detectors (a multiple of the identity plus a projector)
 reach the rate. certify_qubit builds the optimal detector and a matching
-dual certificate with zero duality gap. certify_qubit_ensemble does the
+dual certificate with zero duality gap; certify_qubit_curve evaluates the
+same closed form over an array of rates and checks each certificate in
+Bloch form, for sweeps. certify_qubit_ensemble does the
 same for one detector on any qubit ensemble (any priors, any number of
 members, mixed states), where the constraints 0 <= M <= I are two
 spheroids in the Bloch ball and the optimum is one of three closed-form
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +45,8 @@ from .errors import (
     WrongRegionError,
     ZeroRateError,
 )
-from .ncmodel import nc_certified
-from .strategies import Povm
+from .ncmodel import BRANCHES, _rate_branches, nc_certified
+from .strategies import COMPLETENESS_TOL, Povm
 
 __all__ = [
     "OutcomeRates",
@@ -52,6 +55,7 @@ __all__ = [
     "CertReport",
     "GeneralCertificate",
     "certify_qubit",
+    "certify_qubit_curve",
     "certify_qubit_ensemble",
     "verify_kkt",
     "certify_general",
@@ -63,6 +67,9 @@ KKT_TOL = 1e-9
 CERT_RATE_TOL = 1e-10    # rate deviation an analytic certificate may show
 CERT_VALUE_TOL = 1e-9    # value and gap deviation, relative to max(1, c_1) for ensembles
 CERT_ACTIVE_TOL = 1e-14  # constraint value below which a qubit candidate counts as feasible
+QUBIT_RECHECK_RATE = 1e-6  # certify_qubit_curve runs certify_qubit itself below this rate
+QUBIT_RECHECK_SHARE = 1.0 / 16.0  # ... and where a Bloch residual exceeds this share of its bound
+QUBIT_CURVE_BLOCK = 2048   # rates certify_qubit_curve evaluates at a time
 
 
 def __getattr__(name: str):
@@ -200,7 +207,8 @@ class GeneralCertificate:
 
 def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
     """Certified maximum confidence of detector 1 for the equal-prior noisy
-    canonical pair; certify_qubit_ensemble takes any qubit ensemble.
+    canonical pair; certify_qubit_ensemble takes any qubit ensemble, and
+    certify_qubit_curve evaluates a whole eta1 grid in one pass.
 
     Parameters
     ----------
@@ -228,39 +236,11 @@ def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
         When the closed forms lose the precision their consistency checks
         demand, for example at c within 1e-12 of 1.
     """
-    if c in (0.0, 1.0):
-        raise DegenerateEnsembleError(f"c={c} not certifiable on the analytic path")
-    if not (0.0 < c < 1.0):
-        raise OutOfRangeError(f"confusability c={c} outside (0, 1)")
-    if not (0.0 <= p < 1.0):
-        raise OutOfRangeError(f"noise p={p} outside [0, 1)")
+    _check_qubit_pair(c, p)
     if not (0.0 < eta1 <= 1.0):
         raise OutOfRangeError(f"rate eta1={eta1} outside (0, 1]")
-
-    cos_t = math.sqrt(c)
-    sin_t = math.sqrt(1.0 - c)
-    tan_t = sin_t / cos_t
-    k = (1.0 - p) * cos_t                       # rescaled overlap, in (0, 1)
-    lo = (1.0 - k * k) / 2.0
-    hi = (1.0 + k * k) / 2.0
-    amp = (1.0 - p) * sin_t / math.sqrt(1.0 - k * k)   # unconstrained optimum is (1+amp)/2
-
-    if eta1 <= lo:
-        branch = "LowRate"
-        gamma = k / math.sqrt(1.0 - k * k)
-        value = 0.5 * (1.0 + amp)
-    elif eta1 <= hi:
-        branch = "Sharp"
-        u = 1.0 - 2.0 * eta1
-        disc = k * k - u * u
-        gamma = u / math.sqrt(disc)
-        value = 0.5 + tan_t * math.sqrt(disc) / (4.0 * eta1)
-    else:
-        branch = "HighRate"
-        gamma = -k / math.sqrt(1.0 - k * k)
-        value = 0.5 * (1.0 + amp * (1.0 / eta1 - 1.0))
-
-    lam = (1.0 + gamma * tan_t) / (2.0 * eta1)
+    opt = _qubit_closed_form(c, p, eta1)
+    branch, value, lam = BRANCHES[opt.branch], float(opt.value), float(opt.lam)
     rho1, _, rho = canonical_pair_matrices(c, p)
     slack = lam * rho - rho1 / (2.0 * eta1)     # equals X1 - X2 at the optimum
     values, vectors = qmath.eig_hermitian(slack)
@@ -271,12 +251,11 @@ def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
 
     eye = np.eye(2, dtype=complex)
     if branch == "LowRate":
-        m1 = (2.0 * eta1 / (1.0 - k * k)) * proj
+        m1 = float(opt.weight) * proj
     elif branch == "Sharp":
         m1 = proj
     else:
-        mix = (2.0 * eta1 - 1.0 - k * k) / (1.0 - k * k)
-        m1 = mix * eye + (1.0 - mix) * proj
+        m1 = float(opt.shift) * eye + float(opt.weight) * proj
     povm = Povm((m1,), qmath.psd_floor(eye - m1, 0.0))
 
     rate = float(np.real(np.trace(m1 @ rho)))
@@ -286,6 +265,128 @@ def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
     gap = max(dual_obj - primal, 0.0)
     dual = DualCertificate.from_qubit(lam, X1, X2)
     return CertReport(value, branch, povm, dual, gap)
+
+
+def certify_qubit_curve(c: float, p: float, eta1: np.ndarray) -> tuple:
+    """certify_qubit's value and branch index (into BRANCHES) at every rate
+    of an eta1 array, in one array pass with no matrices.
+
+    Each rate's certificate is checked in Bloch form: with
+    slack = lam rho - rho1/(2 eta1) = a0 I + a.sigma, the detector is
+    M1 = shift I + weight (I - a.sigma/|a|)/2, and its PSD and completeness
+    bounds, rate, value and duality gap are certify_qubit's checks. Rates
+    where one of them exceeds QUBIT_RECHECK_SHARE of its bound, rates
+    outside (0, 1], and rates below QUBIT_RECHECK_RATE are run through
+    certify_qubit itself, in eta1 order, so the first one it rejects raises
+    certify_qubit's own error. Rounding decides both forms of the residuals
+    below about 1e-7 and near c = 1, and there they can disagree: on
+    80 000 random inputs (eta1 >= 1e-6, half with c within 0.1 of 1),
+    certificates certify_qubit rejected had Bloch residuals down to 0.26
+    of the bound.
+
+    The rates are taken QUBIT_CURVE_BLOCK at a time, so the temporary
+    arrays stay small however long the grid is.
+
+    Raises the errors of certify_qubit.
+    """
+    _check_qubit_pair(c, p)
+    eta1 = np.asarray(eta1, dtype=float)
+    value, branch = np.empty(eta1.shape), np.empty(eta1.shape, dtype=int)
+    for start in range(0, eta1.size, QUBIT_CURVE_BLOCK):
+        rates = eta1[start:start + QUBIT_CURVE_BLOCK]
+        inside = (0.0 < rates) & (rates <= 1.0)
+        opt = _qubit_closed_form(c, p, np.where(inside, rates, 1.0))
+        recheck = ~inside | (rates < QUBIT_RECHECK_RATE) | ~_bloch_consistent(c, p, rates, opt)
+        for rate in rates[recheck].tolist():
+            certify_qubit(c, p, rate)
+        value[start:start + QUBIT_CURVE_BLOCK] = opt.value
+        branch[start:start + QUBIT_CURVE_BLOCK] = opt.branch
+    return value, branch
+
+
+class _QubitOptimum(NamedTuple):
+    """certify_qubit's optimum at one rate or at each rate of an array.
+
+    branch indexes BRANCHES, lam is the rate multiplier of the dual, and the
+    detector is M1 = shift I + weight P, with P the projector onto the low
+    eigenvector of lam rho - rho1/(2 eta1).
+    """
+
+    branch: np.ndarray
+    value: np.ndarray
+    lam: np.ndarray
+    shift: np.ndarray
+    weight: np.ndarray
+
+
+def _check_qubit_pair(c: float, p: float):
+    if c in (0.0, 1.0):
+        raise DegenerateEnsembleError(f"c={c} not certifiable on the analytic path")
+    if not (0.0 < c < 1.0):
+        raise OutOfRangeError(f"confusability c={c} outside (0, 1)")
+    if not (0.0 <= p < 1.0):
+        raise OutOfRangeError(f"noise p={p} outside [0, 1)")
+
+
+def _qubit_closed_form(c: float, p: float, eta1) -> _QubitOptimum:
+    """The three-branch closed form of certify_qubit at eta1, a rate or an
+    array of rates in (0, 1] (see ncmodel._rate_branches)."""
+    cos_t = math.sqrt(c)
+    sin_t = math.sqrt(1.0 - c)
+    tan_t = sin_t / cos_t
+    k = (1.0 - p) * cos_t                       # rescaled overlap, in (0, 1)
+    lo = (1.0 - k * k) / 2.0
+    hi = (1.0 + k * k) / 2.0
+    amp = (1.0 - p) * sin_t / math.sqrt(1.0 - k * k)   # unconstrained optimum is (1+amp)/2
+
+    def sharp(eta1):
+        u = 1.0 - 2.0 * eta1
+        root = np.sqrt(k * k - u * u)
+        return 0.5 + tan_t * root / (4.0 * eta1), u / root, 0.0, 1.0
+
+    def high(eta1):
+        mix = (2.0 * eta1 - 1.0 - k * k) / (1.0 - k * k)
+        return 0.5 * (1.0 + amp * (1.0 / eta1 - 1.0)), -k / math.sqrt(1.0 - k * k), mix, 1.0 - mix
+
+    branch, (value, gamma, shift, weight) = _rate_branches(eta1, (lo, hi), (
+        lambda eta1: (0.5 * (1.0 + amp), k / math.sqrt(1.0 - k * k), 0.0, 2.0 * eta1 / (1.0 - k * k)),
+        sharp,
+        high,
+    ))
+    with np.errstate(over="ignore"):
+        lam = (1.0 + gamma * tan_t) / (2.0 * eta1)
+    return _QubitOptimum(branch, value, lam, shift, weight)
+
+
+def _bloch_consistent(c: float, p: float, eta1: np.ndarray, opt: _QubitOptimum) -> np.ndarray:
+    """Whether certify_qubit's POVM and consistency checks pass at each rate,
+    evaluated in Bloch form (see certify_qubit_curve).
+
+    The pair enters through the Bloch components of the same matrices
+    certify_qubit builds, not through (c, p): near c = 1 their rounding
+    alone can break the consistency check. The matrices are real, so the y
+    components are 0.
+    """
+    rho1, _, rho = canonical_pair_matrices(c, p)
+    (r0, rx, _, rz), (s0, sx, _, sz) = (
+        (float(np.trace(m).real) / 2.0, *qmath.bloch_vector(m).tolist()) for m in (rho, rho1)
+    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # slack = lam rho - rho1/(2 eta1) = a0 I + a.sigma; its low eigenvector
+        # gives M1 = shift I + weight (I - a.sigma/|a|)/2 = t I - w a.sigma/|a|.
+        half_rate = 1.0 / (2.0 * eta1)
+        a0 = opt.lam * r0 - s0 * half_rate
+        ax, az = opt.lam * rx - sx * half_rate, opt.lam * rz - sz * half_rate
+        size = np.hypot(ax, az)
+        t, w = opt.shift + opt.weight / 2.0, opt.weight / 2.0
+        rate = 2.0 * (t * r0 - w * (rx * ax + rz * az) / size)
+        primal = 2.0 * (t * s0 - w * (sx * ax + sz * az) / size) * half_rate
+        dual_obj = opt.lam * eta1 + np.maximum(size - a0, 0.0)
+    share = QUBIT_RECHECK_SHARE
+    return ((t - w >= share * qmath.PSD_TOL) & (t + w - 1.0 <= share * COMPLETENESS_TOL)
+            & (np.abs(rate - eta1) <= share * CERT_RATE_TOL)
+            & (np.abs(primal - opt.value) <= share * CERT_VALUE_TOL)
+            & (np.abs(dual_obj - primal) <= share * CERT_VALUE_TOL))
 
 
 def _check_consistency(rate_dev: float, value_dev: float, gap: float, scale: float):
@@ -472,9 +573,10 @@ def verify_kkt(
     element, has c_0 = s_0 = 0, so this is dual_psd), stationarity,
     complementary slackness, and zero duality gap. Returns (ok, residuals).
 
-    Stationarity is the norm of c_y rho_y + r_y sigma_y - s_y rho - K over
-    max(1, max_y c_y): its terms grow with c_y = alpha_y q_y / eta_y as a
-    rate falls, and so does their rounding. All other residuals are absolute.
+    Stationarity (the norm of c_y rho_y + r_y sigma_y - s_y rho - K) and
+    dual feasibility are divided by max(1, max_y c_y): their terms grow with
+    c_y = alpha_y q_y / eta_y as a rate falls, and so does their rounding.
+    All other residuals are absolute.
     """
     n = povm.n
     if len(alpha.alpha) != n or rates.n != n:
@@ -510,13 +612,14 @@ def verify_kkt(
         slack.append(abs(r * float(np.real(np.trace(m @ sigma)))))
         primal += coeff * float(np.real(np.trace(m @ state)))
 
+    scale = max(1.0, *coeffs)
     residuals = {
         "primal_psd": max(psd),
         "primal_completeness": float(np.linalg.norm(sum(elements) - np.eye(e.dim))),
         "primal_rates": max(rate),
         "dual_psd": feas[0],
-        "dual_feasibility": max(feas[1:]),
-        "stationarity": max(stat) / max(1.0, *coeffs),
+        "dual_feasibility": max(feas[1:]) / scale,
+        "stationarity": max(stat) / scale,
         "slackness": max(slack),
         "gap": abs(primal - dual.objective(rates)),
     }

@@ -24,6 +24,7 @@ from .certify import (
     WeightVector,
     certify_general,
     certify_qubit,
+    certify_qubit_curve,
     verify_kkt,
 )
 from .ensembles import (
@@ -34,34 +35,36 @@ from .ensembles import (
     matrix_to_json,
 )
 from .errors import InfeasibleRateError, InvalidSpecError, McdiscError, OutOfRangeError
-from .ncmodel import nc_certified
+from .ncmodel import BRANCHES, nc_certified, nc_certified_curve
 from .oracle import SearchConfig, brute_confidence, brute_guess, brute_ud
 from .simulator import ExperimentSpec, certify_from_tally, run, tally_to_json
 from .strategies import (
-    guess_nc,
+    bound_curves,
     helstrom,
-    mcm_noncontextual,
     mcm_quantum,
     povm_from_json,
     povm_to_json,
-    ud_noncontextual,
     ud_quantum,
 )
 
 DOMINANCE_SLACK = 1e-12
+CSV_BLOCK = 1024    # rows formatted and written at a time
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _emit(text: str, out_path):
+def _emit(chunks, out_path):
+    """Write an iterable of strings to out_path, or to stdout without one."""
     if not out_path:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as err:
         raise McdiscError(f"cannot write {out_path}: {err.strerror}") from None
 
@@ -98,61 +101,42 @@ def _parse_sweep(raw: str, allowed: tuple):
     return var, np.linspace(start, end, steps)
 
 
-def _csv(header: str, rows: list) -> str:
-    lines = [header]
-    lines += [",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_blocks(header: str, template: str, columns: list):
+    """The CSV text in blocks of CSV_BLOCK rows: the header line, then
+    template % row for each row of the equally long columns."""
+    yield header + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        block = [col[start:start + CSV_BLOCK].tolist() for col in columns]
+        yield "".join(map(template.__mod__, zip(*block)))
 
 
-def _write_sweep(header: str, xs, row, breach, out_path) -> int:
-    """Build one CSV row per x in x order, check dominance, write the CSV.
-
-    breach(row) returns a message when the row breaks dominance; the first
-    one goes to stderr, nothing is written and the exit code is 1.
-    """
-    rows = [row(x) for x in xs]
-    for r in rows:
-        message = breach(r)
-        if message:
-            print(message, file=sys.stderr)
-            return 1
-    _emit(_csv(header, rows), out_path)
-    return 0
+def _dominance_breach(message: str) -> int:
+    print(f"dominance violated at {message}", file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
 
-def _bounds_point(task: str, c: float, p: float):
-    if task == "med":
-        pair = make_pure_pair(PairSpec(c)) if p == 0.0 else make_noisy_pair(PairSpec(c, p))
-        return helstrom(pair).value, guess_nc(c, p).value
-    if task == "ud":
-        return ud_quantum(c).value, ud_noncontextual(c).value
-    return mcm_quantum(c, p).value, mcm_noncontextual(c, p).value
-
-
 def cmd_bounds(args) -> int:
-    task = args.task
+    """Bound pairs over the sweep, or at the single point --c (--p for mcm),
+    computed for every row at once. The first row where the quantum value
+    does not dominate goes to stderr with exit code 1 and nothing written."""
     if args.sweep:
         var, xs = _parse_sweep(args.sweep, ("c", "p"))
     else:
-        var, xs = ("p", [args.p]) if task == "mcm" else ("c", [args.c])
-
-    def row(x):
-        c = x if var == "c" else args.c
-        p = x if var == "p" else args.p
-        q, nc = _bounds_point(task, c, p)
-        return (x, q, nc)
-
-    def breach(r):
-        x, q, nc = r
-        better = q <= nc + DOMINANCE_SLACK if task == "ud" else q >= nc - DOMINANCE_SLACK
-        if not better:
-            return f"dominance violated at x={_fmt(x)}: {_fmt(q)} vs {_fmt(nc)}"
-
-    return _write_sweep("x,quantum,noncontextual", xs, row, breach, args.out)
+        var, xs = ("p", np.array([args.p])) if args.task == "mcm" else ("c", np.array([args.c]))
+    quantum, nc = bound_curves(args.task, *((xs, args.p) if var == "c" else (args.c, xs)))
+    if args.task == "ud":
+        breach = quantum > nc + DOMINANCE_SLACK
+    else:
+        breach = quantum < nc - DOMINANCE_SLACK
+    if breach.any():
+        i = int(np.argmax(breach))
+        return _dominance_breach(f"x={_fmt(xs[i])}: {_fmt(quantum[i])} vs {_fmt(nc[i])}")
+    _emit(_csv_blocks("x,quantum,noncontextual", "%.12g,%.12g,%.12g\n", [xs, quantum, nc]), args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +178,21 @@ def cmd_certify(args) -> int:
             "povm": povm_to_json(cert.povm),
             "dual": _dual_payload(cert.dual),
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
         return 0
 
     if args.sweep:
         _, xs = _parse_sweep(args.sweep, ("eta1",))
-
-        def row(eta1):
-            report = certify_qubit(args.c, args.p, eta1)
-            nc = nc_certified(args.c, args.p, eta1)
-            return (eta1, report.value, nc.value, report.branch)
-
-        def breach(r):
-            eta1, q, nc, _branch = r
-            if q < nc - DOMINANCE_SLACK:
-                return f"dominance violated at eta1={_fmt(eta1)}: {_fmt(q)} < {_fmt(nc)}"
-
-        return _write_sweep("x,quantum,noncontextual,branch", xs, row, breach, args.out)
+        quantum, branch = certify_qubit_curve(args.c, args.p, xs)
+        nc = nc_certified_curve(args.c, args.p, xs)
+        breach = quantum < nc - DOMINANCE_SLACK
+        if breach.any():
+            i = int(np.argmax(breach))
+            return _dominance_breach(f"eta1={_fmt(xs[i])}: {_fmt(quantum[i])} < {_fmt(nc[i])}")
+        columns = [xs, quantum, nc, np.array(BRANCHES, dtype=object)[branch]]
+        _emit(_csv_blocks("x,quantum,noncontextual,branch", "%.12g,%.12g,%.12g,%s\n", columns),
+              args.out)
+        return 0
 
     if args.eta1 is None:
         raise OutOfRangeError("certify needs --eta1 (or --sweep / --ensemble)")
@@ -227,7 +209,7 @@ def cmd_certify(args) -> int:
         "povm": povm_to_json(report.povm),
         "dual": _dual_payload(report.dual),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
     return 0
 
 
@@ -251,7 +233,7 @@ def cmd_simulate(args) -> int:
     tally = run(ExperimentSpec(e, povm, trials, seed, loss))
 
     if not args.certify:
-        _emit(tally_to_json(tally) + "\n", args.out)
+        _emit([tally_to_json(tally) + "\n"], args.out)
         return 0
     cert = certify_from_tally(tally, e)
     payload = json.loads(tally_to_json(tally))
@@ -262,7 +244,7 @@ def cmd_simulate(args) -> int:
         "branch": getattr(cert.report, "branch", None),
         "upper": getattr(cert.report, "upper", None),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
     return 0
 
 

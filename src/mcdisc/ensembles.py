@@ -44,9 +44,10 @@ PURITY_TOL = 1e-8   # a state counts as pure when its top eigenvalue is >= 1 - P
 PRIOR_TOL = 1e-12
 
 
-def in_unit_interval(v: float) -> bool:
-    """Whether v lies in [0, 1] up to PRIOR_TOL (rates, bound values, click weights)."""
-    return -PRIOR_TOL <= v <= 1.0 + PRIOR_TOL
+def in_unit_interval(v):
+    """Whether v lies in [0, 1] up to PRIOR_TOL (rates, bound values, click
+    weights); elementwise for an array."""
+    return (-PRIOR_TOL <= v) & (v <= 1.0 + PRIOR_TOL)
 
 
 @dataclass(frozen=True, eq=False)

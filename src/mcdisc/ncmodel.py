@@ -15,7 +15,8 @@ is no response of the model.
 
 nc_certified gives the noncontextual ceiling on the confidence of detector 1
 as a function of its observed rate, in three branches split at
-(1 - (1-p)c)/2 and (1 + (1-p)c)/2. nc_achievability_search finds the best
+(1 - (1-p)c)/2 and (1 + (1-p)c)/2 (nc_certified_curve: over an array of
+rates). nc_achievability_search finds the best
 response in the hull exactly, as an independent check of that ceiling; the
 three branches are the segments never -> sharp(mu2_bar) -> sharp(mu1) ->
 sharp(mu_mixed).
@@ -32,7 +33,7 @@ from .errors import (
     ZeroConfusabilityError,
     ZeroRateError,
 )
-from .strategies import BoundResult
+from .strategies import BoundResult, unit_values
 
 __all__ = [
     "REGIONS",
@@ -45,12 +46,17 @@ __all__ = [
     "ensemble_weights",
     "noisy_epistemic",
     "nc_confidence",
+    "BRANCHES",
     "nc_certified",
+    "nc_certified_curve",
     "nc_achievability_search",
 ]
 
 REGIONS = ("R12", "R1", "R2", "R0")
 EPISTEMIC_LABELS = ("mu1", "mu2", "mu1_bar", "mu2_bar", "mu_mixed")
+# Rate branches of the certified curves, in rate order (nc_certified and
+# certify.certify_qubit share them).
+BRANCHES = ("LowRate", "Sharp", "HighRate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +145,46 @@ def nc_confidence(m: OnticModel, p: float, xi: ResponseFunction) -> tuple:
     return num / (2.0 * eta1), eta1
 
 
+def _rate_branches(eta1, edges: tuple, formulas: tuple) -> tuple:
+    """(branch, values) of a curve with three branches in rate, in BRANCHES
+    order: branch 0 up to and including edges[0], 1 up to and including
+    edges[1], 2 above. Each formula maps eta1 to a tuple of values.
+
+    A number evaluates only its own branch's formula. An array evaluates
+    every formula at every rate, where inf or nan outside a formula's branch
+    is never picked, and picks each value per entry.
+    """
+    if not isinstance(eta1, np.ndarray):
+        branch = 0 if eta1 <= edges[0] else 1 if eta1 <= edges[1] else 2
+        return branch, formulas[branch](eta1)
+    branch = (eta1 > edges[0]).astype(int) + (eta1 > edges[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        parts = zip(*(formula(eta1) for formula in formulas))
+        return branch, tuple(np.choose(branch, part) for part in parts)
+
+
+def _nc_curve(c: float, p: float, eta1) -> tuple:
+    """(branch, value) of nc_certified at a rate or an array of rates, unchecked."""
+    # shrink = 0 at c = 1, p = 0, where every rate is Sharp; numpy division
+    # lets the other two branches be evaluated there for an array.
+    shrink = np.float64(1.0 - (1.0 - p) * c)
+    branch, (value,) = _rate_branches(eta1, (shrink / 2.0, (1.0 + (1.0 - p) * c) / 2.0), (
+        lambda eta1: (1.0 - p / (2.0 * shrink),),
+        lambda eta1: (0.5 + (1.0 - p) * (1.0 - c) / (4.0 * eta1),),
+        lambda eta1: ((1.0 - p * (1.0 - eta1) / shrink) / (2.0 * eta1),),
+    ))
+    return branch, value
+
+
+def _check_nc_pair(c: float, p: float):
+    if c == 0.0:
+        raise ZeroConfusabilityError("certified noncontextual bound needs overlapping supports")
+    if not (0.0 < c <= 1.0):
+        raise OutOfRangeError(f"confusability c={c} outside (0, 1]")
+    if not (0.0 <= p <= 1.0):
+        raise OutOfRangeError(f"noise p={p} outside [0, 1]")
+
+
 def nc_certified(c: float, p: float, eta1: float) -> BoundResult:
     """Noncontextual ceiling on detector-1 confidence at a given outcome rate.
 
@@ -147,24 +193,26 @@ def nc_certified(c: float, p: float, eta1: float) -> BoundResult:
     middle where sharp responses live, and a steeper falloff above where
     only padded (rank-two) responses reach the rate. Adjacent branch
     formulas agree at the boundaries; ties report the lower-rate branch.
+    nc_certified_curve evaluates a whole eta1 grid in one pass.
     """
-    if c == 0.0:
-        raise ZeroConfusabilityError("certified noncontextual bound needs overlapping supports")
-    if not (0.0 < c <= 1.0):
-        raise OutOfRangeError(f"confusability c={c} outside (0, 1]")
-    if not (0.0 <= p <= 1.0):
-        raise OutOfRangeError(f"noise p={p} outside [0, 1]")
+    _check_nc_pair(c, p)
     if not (0.0 < eta1 <= 1.0):
         raise OutOfRangeError(f"rate eta1={eta1} outside (0, 1]")
-    # Only the returned branch is evaluated: shrink = 0 at c = 1, p = 0 (all Sharp).
-    shrink = 1.0 - (1.0 - p) * c
-    if eta1 <= shrink / 2.0:
-        branch, value = "LowRate", 1.0 - p / (2.0 * shrink)
-    elif eta1 <= (1.0 + (1.0 - p) * c) / 2.0:
-        branch, value = "Sharp", 0.5 + (1.0 - p) * (1.0 - c) / (4.0 * eta1)
-    else:
-        branch, value = "HighRate", (1.0 - p * (1.0 - eta1) / shrink) / (2.0 * eta1)
-    return BoundResult(value, "noncontextual", "mcm", branch=branch)
+    branch, value = _nc_curve(c, p, eta1)
+    return BoundResult(value, "noncontextual", "mcm", branch=BRANCHES[branch])
+
+
+def nc_certified_curve(c: float, p: float, eta1: np.ndarray) -> np.ndarray:
+    """nc_certified's value at every rate of an eta1 array, checked and
+    clipped to [0, 1] as BoundResult does. The first rate outside (0, 1]
+    raises nc_certified's error."""
+    _check_nc_pair(c, p)
+    eta1 = np.asarray(eta1, dtype=float)
+    outside = ~((0.0 < eta1) & (eta1 <= 1.0))
+    if outside.any():
+        raise OutOfRangeError(f"rate eta1={eta1[outside][0]} outside (0, 1]")
+    _, value = _nc_curve(c, p, eta1)
+    return unit_values(value)[0]
 
 
 def nc_achievability_search(m: OnticModel, p: float, eta1: float) -> ResponseFunction:

@@ -12,7 +12,8 @@ Three tasks over a two-state qubit ensemble, each in two theories:
 
 Values for "med" and "mcm" are success probabilities / confidences; values
 for "ud" are failure rates. Quantum results carry the achieving POVM;
-noncontextual results carry no measurement.
+noncontextual results carry no measurement. bound_curves evaluates a
+task's pair of closed forms over arrays of c and p, for sweeps.
 """
 from __future__ import annotations
 
@@ -44,6 +45,9 @@ __all__ = [
     "BoundResult",
     "helstrom",
     "guess_nc",
+    "helstrom_pair",
+    "bound_curves",
+    "unit_values",
     "ud_quantum",
     "ud_noncontextual",
     "mcm_quantum",
@@ -123,6 +127,19 @@ class BoundResult:
         object.__setattr__(self, "value", float(min(max(self.value, 0.0), 1.0)))
 
 
+def unit_values(*columns) -> list:
+    """Bound values checked and clipped as BoundResult does, for arrays of
+    values: the first value outside [0, 1] by more than PRIOR_TOL, row by
+    row and left to right across the columns, raises OutOfRangeError."""
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    inside = np.array([in_unit_interval(col) for col in columns]).reshape(len(columns), -1)
+    if not inside.all():
+        row = int(np.argmin(inside.all(axis=0)))
+        col = int(np.argmin(inside[:, row]))
+        raise OutOfRangeError(f"bound value {float(columns[col].flat[row])} outside [0, 1]")
+    return [np.clip(col, 0.0, 1.0) for col in columns]
+
+
 def _check_c(c: float):
     if not (0.0 <= c <= 1.0):
         raise OutOfRangeError(f"confusability c={c} outside [0, 1]")
@@ -131,6 +148,33 @@ def _check_c(c: float):
 def _check_p(p: float):
     if not (0.0 <= p <= 1.0):
         raise OutOfRangeError(f"noise p={p} outside [0, 1]")
+
+
+def bound_curves(task: str, c, p) -> tuple:
+    """Quantum and noncontextual values of a bounds task ("med", "ud" or
+    "mcm") at every (c, p), for arrays or numbers c and p broadcast together.
+
+    Each value is the formula of the task's functions: helstrom_pair
+    and guess_nc for med, ud_quantum and ud_noncontextual for ud (which
+    ignores p), mcm_quantum and mcm_noncontextual for mcm, with their range
+    checks and BoundResult's [0, 1] check. Errors are raised for the first
+    (c, p) in array order that one of those functions would reject.
+    """
+    c, p = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(p, dtype=float))
+    bad = ~((0.0 <= c) & (c <= 1.0))
+    if task != "ud":
+        bad |= ~((0.0 <= p) & (p <= 1.0))
+    if bad.any():
+        first = int(np.argmax(bad.ravel()))
+        _check_c(float(c.flat[first]))
+        _check_p(float(p.flat[first]))
+    if task == "med":
+        curves = helstrom_pair(c, p), _guess_nc_value(c, p)
+    elif task == "ud":
+        curves = np.sqrt(c), _ud_nc_value(c)
+    else:
+        curves = _mcm_quantum_value(c, p)[0], _mcm_nc_value(c, p)
+    return tuple(unit_values(*curves))
 
 
 def helstrom(e: Ensemble) -> BoundResult:
@@ -153,6 +197,19 @@ def helstrom(e: Ensemble) -> BoundResult:
     return BoundResult(value, "quantum", "med", povm)
 
 
+def helstrom_pair(c, p):
+    """Helstrom value 1/2 + (1-p) sqrt(1-c)/2 of the equal-prior depolarized
+    canonical pair, for numbers or arrays. helstrom computes it from the
+    pair's matrices, which carry the rounding of theta = acos(sqrt(c)), so
+    the two differ by up to about eps/sqrt(1 - c) (eps the double-precision
+    epsilon); this closed form is the accurate one."""
+    return 0.5 * (1.0 + (1.0 - p) * np.sqrt(1.0 - c))
+
+
+def _guess_nc_value(c, p):
+    return 1.0 - c / 2.0 - p * (1.0 - c) / 2.0
+
+
 def guess_nc(c: float, p: float = 0.0) -> BoundResult:
     """Noncontextual ceiling on the two-state guessing probability.
 
@@ -161,7 +218,7 @@ def guess_nc(c: float, p: float = 0.0) -> BoundResult:
     """
     _check_c(c)
     _check_p(p)
-    return BoundResult(1.0 - c / 2.0 - p * (1.0 - c) / 2.0, "noncontextual", "med")
+    return BoundResult(_guess_nc_value(c, p), "noncontextual", "med")
 
 
 def ud_quantum(c: float) -> BoundResult:
@@ -174,12 +231,13 @@ def ud_quantum(c: float) -> BoundResult:
     _check_c(c)
     pair = make_pure_pair(PairSpec(c))
     s1, s2 = pair.states
-    scale = 1.0 / (1.0 + math.sqrt(c))
+    rate = float(np.sqrt(c))
+    scale = 1.0 / (1.0 + rate)
     m1 = scale * mirror_state(s2).matrix
     m2 = scale * mirror_state(s1).matrix
     m0 = np.eye(2, dtype=complex) - m1 - m2
     povm = Povm((m1, m2), qmath.psd_floor(m0, 0.0))
-    return BoundResult(math.sqrt(c), "quantum", "ud", povm)
+    return BoundResult(rate, "quantum", "ud", povm)
 
 
 def ud_noncontextual(c: float) -> BoundResult:
@@ -190,9 +248,12 @@ def ud_noncontextual(c: float) -> BoundResult:
     function is discontinuous there.
     """
     _check_c(c)
-    if c <= ZERO_C_THRESHOLD:
-        return BoundResult(0.0, "noncontextual", "ud", branch="zero-confusability")
-    return BoundResult((1.0 + c) / 2.0, "noncontextual", "ud")
+    branch = "zero-confusability" if c <= ZERO_C_THRESHOLD else ""
+    return BoundResult(float(_ud_nc_value(c)), "noncontextual", "ud", branch=branch)
+
+
+def _ud_nc_value(c):
+    return (1.0 + c) / 2.0 * (c > ZERO_C_THRESHOLD)     # 0 at and below the threshold
 
 
 def _confidence(m1: np.ndarray, e: Ensemble, y: int = 1) -> float:
@@ -225,16 +286,8 @@ def mcm_quantum(c: float, p: float) -> BoundResult:
     """
     _check_c(c)
     _check_p(p)
-    root_c = math.sqrt(c)
-    k = (1.0 - p) * root_c
-    # 1 - k without cancellation near k = 1, so that 1 - k^2 = (1-k)(1+k)
-    # keeps the value at or below 1 as c -> 1 at p = 0.
-    one_minus_k = p + (1.0 - p) * (1.0 - c) / (1.0 + root_c)
+    value, k, one_minus_k = (float(v) for v in _mcm_quantum_value(c, p))
     identical = one_minus_k <= 0.0
-    if identical:
-        value = 0.5
-    else:
-        value = 0.5 * (1.0 + (1.0 - p) * math.sqrt(1.0 - c) / math.sqrt(one_minus_k * (1.0 + k)))
     lo = math.sqrt(one_minus_k / 2.0)
     hi = math.sqrt((1.0 + k) / 2.0)
     phi1 = np.array([lo, hi], dtype=complex)
@@ -246,6 +299,30 @@ def mcm_quantum(c: float, p: float) -> BoundResult:
     povm = Povm((m1, m2), qmath.psd_floor(m0, 0.0))
     branch = "identical-states" if identical else ""
     return BoundResult(value, "quantum", "mcm", povm, branch=branch)
+
+
+def _mcm_quantum_value(c, p) -> tuple:
+    """(value, k, 1 - k) of mcm_quantum for numbers or arrays, k = (1-p) sqrt(c)."""
+    root_c = np.sqrt(c)
+    k = (1.0 - p) * root_c
+    # 1 - k without cancellation near k = 1, so that 1 - k^2 = (1-k)(1+k)
+    # keeps the value at or below 1 as c -> 1 at p = 0.
+    one_minus_k = p + (1.0 - p) * (1.0 - c) / (1.0 + root_c)
+    value = _unless_identical(
+        one_minus_k <= 0.0,
+        lambda: 0.5 * (1.0 + (1.0 - p) * np.sqrt(1.0 - c) / np.sqrt(one_minus_k * (1.0 + k))),
+    )
+    return value, k, one_minus_k
+
+
+def _unless_identical(identical, formula):
+    """formula() where the two states differ and 1/2 where they are
+    identical. For a number formula runs only when they differ; for arrays
+    it runs everywhere, with division warnings off, and is picked per entry."""
+    if not isinstance(identical, np.ndarray):
+        return 0.5 if identical else formula()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(identical, 0.5, formula())
 
 
 def mcm_quantum_general(e: Ensemble, y: int = 1) -> BoundResult:
@@ -285,10 +362,14 @@ def mcm_noncontextual(c: float, p: float) -> BoundResult:
     """
     _check_c(c)
     _check_p(p)
-    if (1.0 - p) * c >= 1.0:
-        return BoundResult(0.5, "noncontextual", "mcm", branch="identical-states")
-    value = 0.5 * (1.0 + (1.0 - p) * (1.0 - c) / (1.0 - (1.0 - p) * c))
-    return BoundResult(value, "noncontextual", "mcm")
+    branch = "identical-states" if (1.0 - p) * c >= 1.0 else ""
+    return BoundResult(float(_mcm_nc_value(c, p)), "noncontextual", "mcm", branch=branch)
+
+
+def _mcm_nc_value(c, p):
+    return _unless_identical(
+        (1.0 - p) * c >= 1.0, lambda: 0.5 * (1.0 + (1.0 - p) * (1.0 - c) / (1.0 - (1.0 - p) * c))
+    )
 
 
 def povm_to_json(povm: Povm) -> dict:

@@ -1,5 +1,6 @@
 """Rate-constrained confidence certification: analytic engine, KKT checks,
 SDP bracketing, and the quantum/noncontextual gap relation."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from mcdisc import qmath
 from mcdisc.certify import (
+    KKT_TOL,
     CertReport,
     DualCertificate,
     GeneralCertificate,
@@ -637,3 +639,20 @@ def test_optimize_attribute_loads_scipy_on_demand():
     namespace = {}
     exec("from mcdisc.certify import *", namespace)
     assert namespace["certify_qubit"] is certify_qubit
+
+
+@pytest.mark.parametrize("eta", [1e-12, 1e-6, 0.3])
+def test_verify_kkt_dual_feasibility_is_relative(eta):
+    # K + s rho - c_1 rho_1 has entries of size c_1 = q_1/eta1 (5e11 at
+    # eta1 = 1e-12), and so has its rounding: the closed-form certificate
+    # passes, and one with K lowered by 1e-8 max(1, c_1) I does not.
+    e = make_noisy_pair(PairSpec(0.5, 0.2))
+    alpha, rates = WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta)
+    report = certify_qubit_ensemble(e, eta)
+    ok, residuals = verify_kkt(e, alpha, rates, report.povm, report.dual)
+    assert ok, residuals
+    shift = 1e-8 * max(1.0, 0.5 / eta) * np.eye(2)
+    lowered = dataclasses.replace(report.dual, K=report.dual.K - shift)
+    ok, residuals = verify_kkt(e, alpha, rates, report.povm, lowered)
+    assert not ok
+    assert residuals["dual_feasibility"] > KKT_TOL

@@ -1,11 +1,11 @@
 """CLI surface: CSV/JSON shapes, exit codes, sweeps, and reproducibility."""
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from mcdisc import cli
 from mcdisc.cli import main
 from mcdisc.ensembles import PairSpec, ensemble_to_json, make_noisy_pair, make_pure_pair
 from mcdisc.simulator import wilson_interval
-from mcdisc.strategies import Povm, mcm_quantum, povm_to_json
+from mcdisc.strategies import Povm, bound_curves, mcm_quantum, povm_to_json
 
 
 def run_cli(capsys, argv):
@@ -116,13 +116,22 @@ GOLDEN = Path(__file__).parent / "golden"
          ["bounds", "--task", "mcm", "--c", "0.5", "--sweep", "p:0:0.95:100"]),
         ("bounds_ud_c.csv", ["bounds", "--task", "ud", "--sweep", "c:0:1:100"]),
         ("bounds_med_p0_c.csv", ["bounds", "--task", "med", "--p", "0", "--sweep", "c:0:1:100"]),
+        ("bounds_med_p0.2_c.csv", ["bounds", "--task", "med", "--p", "0.2", "--sweep", "c:0:1:100"]),
+        ("bounds_mcm_p0.3_c.csv", ["bounds", "--task", "mcm", "--p", "0.3", "--sweep", "c:0:1:100"]),
+        ("certify_c0.37_p0.21_eta1_20000.sha256",
+         ["certify", "--c", "0.37", "--p", "0.21", "--sweep", "eta1:0.013:1:20000"]),
     ],
 )
 def test_sweep_matches_golden_csv(capsys, name, argv):
-    # Closed forms printed to 12 significant digits: byte-stable across platforms.
+    # Closed forms printed to 12 significant digits: byte-stable across
+    # platforms. A .sha256 golden holds the digest of a long sweep.
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    assert out.encode() == (GOLDEN / name).read_bytes()
+    golden = (GOLDEN / name).read_bytes()
+    if name.endswith(".sha256"):
+        assert hashlib.sha256(out.encode()).hexdigest() == golden.decode().strip()
+    else:
+        assert out.encode() == golden
 
 
 def test_bounds_out_file(tmp_path, capsys):
@@ -212,6 +221,27 @@ def test_certify_lost_precision_exits_two(capsys, c, eta1):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # Row 0 passes; row 1 (eta1 = 0.6) loses consistency.
+        (["certify", "--c", "0.999999999999", "--p", "0", "--sweep", "eta1:0.5:0.9:5"],
+         "error: analytic certification lost consistency: rate dev -5.33e-06, "
+         "value dev -4.44e-06, gap 4.44e-06\n"),
+        (["certify", "--c", "0.5", "--p", "0", "--sweep", "eta1:1e-12:1:5"],
+         "error: analytic certification lost consistency: "),
+    ],
+)
+def test_certify_sweep_lost_precision_exits_two(tmp_path, capsys, argv, message):
+    # The sweep fails with certify_qubit's error for its first failing rate,
+    # on one stderr line, and writes nothing.
+    target = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, [*argv, "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--spec", "{dir}/missing.json"],
@@ -254,8 +284,19 @@ def test_bad_user_input_exits_two(tmp_path, capsys, argv):
 )
 def test_sweep_dominance_breach_exits_one(tmp_path, capsys, monkeypatch, patched, argv, message):
     # A noncontextual value above every quantum one breaks dominance on the
-    # first row: that row goes to stderr and no CSV is written.
-    monkeypatch.setattr(cli, patched, lambda *args: SimpleNamespace(value=1.5))
+    # first row: that row goes to stderr and no CSV is written. `patched`
+    # names the noncontextual bound raised to 1.5, in the array functions the
+    # sweep calls.
+    def nc_curve(c, p, eta1):
+        return np.full(np.shape(eta1), 1.5)
+
+    def mcm_curves(task, c, p):
+        quantum, nc = bound_curves(task, c, p)
+        return quantum, np.full_like(nc, 1.5)
+
+    name, fake = {"nc_certified": ("nc_certified_curve", nc_curve),
+                  "mcm_noncontextual": ("bound_curves", mcm_curves)}[patched]
+    monkeypatch.setattr(cli, name, fake)
     target = tmp_path / "rows.csv"
     code, out, err = run_cli(capsys, [*argv, "--out", str(target)])
     assert code == 1 and out == ""
