@@ -234,13 +234,15 @@ def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
         For inputs outside the analytic path's domain.
     NumericalError
         When the closed forms lose the precision their consistency checks
-        demand, for example at c within 1e-12 of 1.
+        demand (at c within 1e-12 of 1, say) or overflow (eta1 < 5.6e-309).
     """
     _check_qubit_pair(c, p)
     if not (0.0 < eta1 <= 1.0):
         raise OutOfRangeError(f"rate eta1={eta1} outside (0, 1]")
     opt = _qubit_closed_form(c, p, eta1)
     branch, value, lam = BRANCHES[opt.branch], float(opt.value), float(opt.lam)
+    if not math.isfinite(lam):                  # grows like 1/eta1 as eta1 -> 0
+        raise NumericalError(f"rate eta1={eta1} too small: the rate multiplier overflows")
     rho1, _, rho = canonical_pair_matrices(c, p)
     slack = lam * rho - rho1 / (2.0 * eta1)     # equals X1 - X2 at the optimum
     values, vectors = qmath.eig_hermitian(slack)
@@ -453,7 +455,7 @@ def certify_qubit_ensemble(e: Ensemble, eta1: float) -> CertReport:
     OutOfRangeError
         For eta1 outside (0, 1].
     NumericalError
-        When the certificate misses its rate or value or leaves a duality gap.
+        When the certificate misses its rate or value, leaves a gap or overflows.
     """
     if e.dim != 2:
         raise DimensionMismatchError(f"qubit certification needs dim 2, got {e.dim}")
@@ -474,6 +476,8 @@ def certify_qubit_ensemble(e: Ensemble, eta1: float) -> CertReport:
     m1 = qmath.bloch_op(t, v)
     povm = Povm((m1,), qmath.bloch_op(1.0 - t, -v))
     coeff = q1 / eta1
+    if not math.isfinite(coeff * (1.0 + mu1 + mu2)):
+        raise NumericalError(f"rate eta1={eta1} too small: the dual multipliers overflow")
     value = q1 + coeff * float(g @ v)
     K = (coeff * mu2 / 2.0) * qmath.bloch_op(1.0, u)
     s = coeff * (1.0 + mu1 - mu2)

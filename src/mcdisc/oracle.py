@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the analytic machinery: the
 searches only evaluate feasible measurements and keep the best, so a value
-returned by an oracle is always achievable and can sit at most a search
-resolution below the matching closed form, never above it. Tests freeze
-oracle outputs against the formulas in strategies and certify.
+returned by an oracle is always achievable and can miss the matching closed
+form by at most a search resolution, on the achievable side only: below a
+maximum, above brute_ud's minimum. Tests freeze oracle outputs against the
+formulas in strategies and certify.
 
 All three searches work in the Bloch picture. A qubit effect is
 M = t I + v.sigma, its value on a state rho = (1/2) I + u.sigma is
@@ -16,8 +17,8 @@ rate shell boundary.
 The searches are array code. Each direction oracle has one scorer over an
 (n, 3) array of unit directions, used both for the scan of the candidate
 directions (built once per seed) and for the batched axis moves
-that polish the best of them. The unambiguous oracle runs its boundary
-bisection for every scan point at once and refines by repeated zooms.
+that polish the best of them. The unambiguous oracle scans the exact
+completeness boundary at every point at once and refines by repeated zooms.
 """
 from __future__ import annotations
 
@@ -186,18 +187,18 @@ def brute_confidence(
     return max(q1, _search_directions(score, cfg))
 
 
-def _completes(p1: np.ndarray, p2: np.ndarray, a, b) -> np.ndarray:
-    """Elementwise: a, b in [0, 1] and M = I - a P1 - b P2 >= 0 to within 1e-12.
+def _largest_b(overlap: float, a: np.ndarray) -> np.ndarray:
+    """Largest b in [0, 1] with I - a P1 - b P2 >= 0, for each a in [0, 1].
 
-    The smallest eigenvalue of the 2x2 Hermitian M is taken in closed form,
-    (m00 + m11)/2 - sqrt(((m00 - m11)/2)^2 + |m01|^2).
+    For rank-one P1, P2 with overlap = tr[P1 P2], the determinant is
+    1 - a - b + a b (1 - overlap) and the trace 2 - a - b is nonnegative on
+    the unit box, so the boundary is b = (1 - a)/(1 - a (1 - overlap)). The
+    denominator vanishes only at a = 1 with P1 + P2 = I, where every b is
+    feasible.
     """
-    m00 = 1.0 - a * p1[0, 0].real - b * p2[0, 0].real
-    m11 = 1.0 - a * p1[1, 1].real - b * p2[1, 1].real
-    m01 = a * p1[0, 1] + b * p2[0, 1]
-    lam = (m00 + m11) / 2.0 - np.hypot((m00 - m11) / 2.0, np.abs(m01))
-    in_box = (0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0)
-    return in_box & (lam >= -1e-12)
+    denom = 1.0 - a * (1.0 - overlap)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    return np.where(denom > 0.0, np.minimum((1.0 - a) / safe, 1.0), 1.0)
 
 
 def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
@@ -206,11 +207,10 @@ def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
     Zero cross clicks force each conclusive element onto the kernel of the
     other state, leaving two scale factors (a, b). The failure rate falls
     monotonically in each factor, so the optimum sits on the completeness
-    boundary I - a P1 - b P2 >= 0, tested with the exact smallest eigenvalue
-    of the 2x2 matrix. The largest feasible b is found for a whole array of
-    a values at once by a 60-step bisection, so the one-dimensional profile
-    is scanned on a grid plus random draws in one pass, then refined by
-    65-point zooms onto the neighbours of the best point.
+    boundary I - a P1 - b P2 >= 0, whose largest feasible b is exact in
+    closed form (_largest_b). The one-dimensional profile in a is scanned
+    on a grid plus random draws in one pass, then refined by 65-point zooms
+    onto the neighbours of the best point.
     """
     if len(e) != 2:
         raise WrongArityError(f"unambiguous oracle needs 2 states, got {len(e)}")
@@ -229,6 +229,7 @@ def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
     rho = average_state(e).matrix
     w1 = float(np.real(np.trace(p1 @ rho)))
     w2 = float(np.real(np.trace(p2 @ rho)))
+    overlap = float(np.real(np.trace(p1 @ p2)))
     for state, proj in zip((e.states[1], e.states[0]), (p1, p2)):
         cross = float(np.real(np.trace(proj @ state.matrix)))
         if cross > 1e-9:
@@ -236,14 +237,7 @@ def brute_ud(e: Ensemble, cfg: SearchConfig = _DEFAULT) -> float:
 
     def profile(a: np.ndarray) -> np.ndarray:
         """Failure rate at the largest feasible b, for each a."""
-        lo, hi = np.zeros_like(a), np.ones_like(a)
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            ok = _completes(p1, p2, a, mid)
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        b = np.where(_completes(p1, p2, a, 1.0), 1.0, lo)
-        return 1.0 - a * w1 - b * w2
+        return 1.0 - a * w1 - _largest_b(overlap, a) * w2
 
     ticks = np.linspace(0.0, 1.0, int(round(1.0 / GRID_RESOLUTION)) + 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))

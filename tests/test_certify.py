@@ -205,6 +205,17 @@ def test_certify_qubit_domain_errors():
         certify_qubit(0.5, 0.0, 1.1)
 
 
+@pytest.mark.parametrize("eta", [5e-324, 1e-310, 3e-309])
+def test_overflowing_rate_raises_numerical_error(eta):
+    # The dual multipliers grow like 1/eta1 and overflow to inf at these
+    # rates; 3e-309 keeps 1/(2 eta1) finite but not the multipliers.
+    with pytest.raises(NumericalError, match="too small"):
+        certify_qubit(0.5, 0.2, eta)
+    unequal = make_noisy_pair(PairSpec(0.5, 0.2, priors=(0.3, 0.7)))
+    with pytest.raises(NumericalError, match="too small"):
+        certify_qubit_ensemble(unequal, eta)
+
+
 # --- optimality-system verification --------------------------------------------
 
 def kkt_inputs(c, p, eta1):
@@ -578,6 +589,24 @@ def test_qubit_ensemble_non_increasing_in_rate(q1, r1, r2, shrink, etas):
     e = Ensemble(((q1, states[0]), (1.0 - q1, states[1])))
     low, high = (inside_general_bracket(e, eta).value for eta in etas)
     assert low >= high - 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(0.05, 0.95),
+    p=st.floats(0.0, 0.9),
+    etas=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)).map(sorted),
+)
+def test_certify_qubit_properties(c, p, etas):
+    # Non-increasing in the rate, never below the noncontextual value, and
+    # each certificate passes the full optimality check.
+    e, alpha = noisy_pair(c, p), WeightVector((1.0,))
+    reports = [certify_qubit(c, p, eta) for eta in etas]
+    assert reports[0].value >= reports[1].value - 1e-12
+    for eta, report in zip(etas, reports):
+        assert report.value >= nc_certified(c, p, eta).value - 1e-12
+        ok, residuals = verify_kkt(e, alpha, OutcomeRates((eta,), 1.0 - eta), report.povm, report.dual)
+        assert ok, residuals
 
 
 # --- gap relation ---------------------------------------------------------------

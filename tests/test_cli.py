@@ -244,6 +244,22 @@ def test_certify_sweep_lost_precision_exits_two(tmp_path, capsys, argv, message)
 @pytest.mark.parametrize(
     "argv",
     [
+        ["certify", "--c", "0.5", "--p", "0.2", "--eta1", "1e-310"],
+        ["certify", "--sweep", "eta1:1e-320:1e-300:5"],
+        ["verify", "--mode", "kkt", "--c", "0.5", "--p", "0.2", "--eta1", "1e-310"],
+    ],
+)
+def test_overflowing_rate_exits_two(capsys, argv):
+    # 1/(2 eta1) and the rate multiplier overflow to inf at these rates.
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: rate eta1=") and "too small" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["simulate", "--spec", "{dir}/missing.json"],
         ["simulate", "--spec", "{dir}/broken.json"],
         ["simulate", "--spec", "{dir}/no_ensemble.json"],

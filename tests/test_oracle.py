@@ -18,7 +18,7 @@ from mcdisc.oracle import (
     RESTARTS,
     SearchConfig,
     _candidate_directions,
-    _completes,
+    _largest_b,
     brute_confidence,
     brute_guess,
     brute_ud,
@@ -104,14 +104,18 @@ def test_brute_ud_matches_overlap_across_grid():
 
 
 def test_brute_ud_sound_lower_bound():
+    # Every rate the oracle returns is achieved by a feasible POVM, so it
+    # cannot fall below the optimum by more than rounding.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
-    for _ in range(8):
+    for _ in range(50):
         c = float(rng.uniform(0.05, 0.95))
-        e = make_pure_pair(PairSpec(c))
         target = ud_quantum(c).value
-        val = brute_ud(e)
-        assert val >= target - 1e-9
-        assert val <= target + 1e-3
+        val = brute_ud(make_pure_pair(PairSpec(c)))
+        assert val >= target - 1e-14
+        assert val <= target + 1e-12
+    for priors in ((0.8, 0.2), (0.2, 0.8)):
+        val = brute_ud(make_pure_pair(PairSpec(0.5, priors=priors)))
+        assert 0.6 - 1e-14 <= val <= 0.6 + 1e-12
 
 
 def test_brute_ud_unequal_priors_boundary_regime():
@@ -144,39 +148,19 @@ def _eigvalsh_completes(p1, p2, a, b):
     return float(np.linalg.eigvalsh(np.eye(2) - a * p1 - b * p2)[0]) >= -1e-12
 
 
-def test_completeness_check_matches_eigvalsh_on_random_points():
+def test_largest_b_is_the_eigvalsh_completeness_boundary():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(41)))
+    eye = np.eye(2)
     for _ in range(20):
         p1, p2 = _random_kernel_pair(rng)
-        a = rng.uniform(-0.1, 1.1, size=200)
-        b = rng.uniform(-0.1, 1.1, size=200)
-        got = _completes(p1, p2, a, b)
-        want = [_eigvalsh_completes(p1, p2, x, y) for x, y in zip(a, b)]
-        assert got.tolist() == want
-
-
-def test_completeness_check_matches_eigvalsh_next_to_the_boundary():
-    # Steps of 1e-11 on both sides of the eigvalsh bisection point. The point
-    # itself is left out: it sits on the -1e-12 tolerance to within rounding,
-    # where any two eigenvalue routines may round to different sides.
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(43)))
-    offsets = np.concatenate((np.arange(-10, 0), np.arange(1, 11))) * 1e-11
-    checked = 0
-    for _ in range(20):
-        p1, p2 = _random_kernel_pair(rng)
-        a = float(rng.uniform(0.05, 0.95))
-        if _eigvalsh_completes(p1, p2, a, 1.0):
-            continue
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            lo, hi = (mid, hi) if _eigvalsh_completes(p1, p2, a, mid) else (lo, mid)
-        b = lo + offsets
-        got = _completes(p1, p2, a, b)
-        assert got.tolist() == [_eigvalsh_completes(p1, p2, a, y) for y in b]
-        assert got[0] and not got[-1]
-        checked += 1
-    assert checked >= 10
+        a = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=50)))
+        b = _largest_b(float(np.real(np.trace(p1 @ p2))), a)
+        for x, y in zip(a.tolist(), b.tolist()):
+            assert np.linalg.eigvalsh(eye - x * p1 - y * p2)[0] >= -1e-14
+            if y < 1.0:
+                assert not _eigvalsh_completes(p1, p2, x, y + 1e-9)
+    # Orthogonal kernels complete to the identity, so a = 1 leaves b = 1.
+    assert _largest_b(0.0, np.array([1.0])).tolist() == [1.0]
 
 
 def test_candidate_directions_are_cached_and_read_only():
