@@ -580,6 +580,8 @@ def verify_kkt(
     Stationarity (the norm of c_y rho_y + r_y sigma_y - s_y rho - K) and
     dual feasibility are divided by max(1, max_y c_y): their terms grow with
     c_y = alpha_y q_y / eta_y as a rate falls, and so does their rounding.
+    The stationarity matrix is divided before its norm is taken, because the
+    squares of its entries overflow once eta_y falls below about 1e-171.
     All other residuals are absolute.
     """
     n = povm.n
@@ -606,24 +608,24 @@ def verify_kkt(
         (dual.r0, *dual.r),
         (dual.sigma0, *dual.sigma),
     )
+    scale = max(1.0, *coeffs)
     psd, rate, feas, stat, slack, primal = [], [], [], [], [], 0.0
     for m, eta, coeff, state, s, r, sigma in outcomes:
         target = coeff * state
         psd.append(max(0.0, -qmath.min_eig(m)))
         rate.append(abs(float(np.real(np.trace(m @ rho))) - eta))
         feas.append(max(0.0, -qmath.min_eig(dual.K + s * rho - target)))
-        stat.append(float(np.linalg.norm(target + r * sigma - s * rho - dual.K)))
+        stat.append(float(np.linalg.norm((target + r * sigma - s * rho - dual.K) / scale)))
         slack.append(abs(r * float(np.real(np.trace(m @ sigma)))))
         primal += coeff * float(np.real(np.trace(m @ state)))
 
-    scale = max(1.0, *coeffs)
     residuals = {
         "primal_psd": max(psd),
         "primal_completeness": float(np.linalg.norm(sum(elements) - np.eye(e.dim))),
         "primal_rates": max(rate),
         "dual_psd": feas[0],
         "dual_feasibility": max(feas[1:]) / scale,
-        "stationarity": max(stat) / scale,
+        "stationarity": max(stat),
         "slackness": max(slack),
         "gap": abs(primal - dual.objective(rates)),
     }

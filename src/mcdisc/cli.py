@@ -14,6 +14,7 @@ check that lost precision) is a McdiscError, so it also exits 2 with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -98,6 +99,8 @@ def _parse_sweep(raw: str, allowed: tuple):
         raise OutOfRangeError("sweep needs at least 2 steps")
     if not start < end:
         raise OutOfRangeError(f"sweep range [{start}, {end}] is empty")
+    if not np.isfinite(end - start):
+        raise OutOfRangeError(f"sweep range [{start}, {end}] has no finite width")
     return var, np.linspace(start, end, steps)
 
 
@@ -302,7 +305,11 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later main() call in the process. parse_args keeps no state between
+    calls: each returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="mcdisc",
         description="Quantum vs noncontextual bounds for two-state discrimination "

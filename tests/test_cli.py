@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,14 @@ import pytest
 import mcdisc
 from mcdisc import cli
 from mcdisc.cli import main
-from mcdisc.ensembles import PairSpec, ensemble_to_json, make_noisy_pair, make_pure_pair
+from mcdisc.ensembles import (
+    Ensemble,
+    PairSpec,
+    ensemble_to_json,
+    make_noisy_pair,
+    make_pure_pair,
+    pure_state,
+)
 from mcdisc.simulator import wilson_interval
 from mcdisc.strategies import Povm, bound_curves, mcm_quantum, povm_to_json
 
@@ -34,6 +42,23 @@ def write_sim_spec(path, trials=20_000, seed=7):
         "seed": seed,
     }
     path.write_text(json.dumps(doc))
+
+
+def fresh_env():
+    """The environment for a new Python process that imports the same mcdisc
+    as this test, installed or not."""
+    src = os.path.dirname(os.path.dirname(mcdisc.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def fresh_process(argv):
+    """Start `python -m mcdisc.cli argv` in a new process; the caller
+    collects it with communicate()."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "mcdisc.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
+    )
 
 
 # --- bounds -----------------------------------------------------------------
@@ -275,6 +300,8 @@ def test_overflowing_rate_exits_two(capsys, argv):
         ["bounds", "--task", "mcm", "--sweep", "q:0:1:5"],
         ["certify", "--sweep", "eta1:0.1:1:1"],
         ["bounds", "--task", "ud", "--sweep", "c:0.5:0.5:5"],
+        ["bounds", "--task", "ud", "--sweep", "c:0:inf:3"],
+        ["certify", "--sweep", "eta1:-1e308:1e308:3"],
         ["certify", "--ensemble", "{dir}/pair.json"],
         ["certify"],
     ],
@@ -428,6 +455,17 @@ def test_verify_kkt_mode_small_rate(capsys):
     assert "kkt ok (branch LowRate)" in out
 
 
+@pytest.mark.parametrize("eta1", ["1e-172", "1e-176", "1e-200", "1e-300"])
+def test_verify_kkt_mode_tiny_rate(capsys, eta1):
+    # The stationarity residual is scaled before its norm is taken: its
+    # entries grow like 1/eta1, so their squares would overflow here.
+    code, out, err = run_cli(
+        capsys, ["verify", "--mode", "kkt", "--c", "0.5", "--p", "0.2", "--eta1", eta1]
+    )
+    assert code == 0 and err == ""
+    assert "inf" not in out and "kkt ok (branch LowRate)" in out
+
+
 def test_verify_kkt_needs_eta1(capsys):
     code, _, err = run_cli(capsys, ["verify", "--mode", "kkt"])
     assert code == 2
@@ -456,6 +494,136 @@ def test_verify_oracle_mode_rejects_bad_arguments(capsys, extra, message):
     assert err.startswith(message) and "Traceback" not in err
 
 
+# --- repeated in-process calls -------------------------------------------------
+
+def test_repeated_calls_are_independent(capsys):
+    # One parser serves every main() call in a process; no call may see
+    # options, errors or output of an earlier one. The references without a
+    # golden file come from fresh processes, started together.
+    usage = ["bounds"]
+    point = ["certify", "--c", "0.5", "--p", "0.5", "--eta1", "0.5"]
+    no_rate = ["certify", "--c", "0.5", "--p", "0.5"]
+    fresh = [fresh_process(argv) for argv in (usage, point, no_rate)]
+    (_, usage_err), (point_out, _), (_, no_rate_err) = (p.communicate() for p in fresh)
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(usage)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and fresh[0].returncode == 2
+    assert captured.out == "" and captured.err.encode() == usage_err
+    assert captured.err.startswith("usage: mcdisc bounds")
+
+    code, out, err = run_cli(capsys, point)
+    assert code == 0 and err == "" and out.encode() == point_out
+
+    code, out, err = run_cli(capsys, no_rate)
+    assert code == 2 == fresh[2].returncode and out == ""
+    assert err.startswith("error: certify needs --eta1") and err.encode() == no_rate_err
+
+    for name, argv in [
+        ("certify_c0.5_p0.2_eta1.csv",
+         ["certify", "--c", "0.5", "--p", "0.2", "--sweep", "eta1:0.01:1:100"]),
+        ("bounds_mcm_p0.3_c.csv", ["bounds", "--task", "mcm", "--p", "0.3", "--sweep", "c:0:1:100"]),
+    ]:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+# Each option draws from a pool of ordinary values or, one time in four,
+# from a pool of hostile ones, so that many argv get past argparse and
+# reach the branches behind it.
+FUZZ_NUMBERS = (["0.3", "0.5", "0.7", "0.2", "0.05"],
+                ["0", "1", "-1", "nan", "inf", "-inf", "1e-320", "1e-172", "0.999999999999",
+                 "abc", ""])
+FUZZ_INTS = (["3", "1000", "7"], ["0", "1", "-1", "nan", "abc", ""])
+FUZZ_SWEEPS = {
+    "bounds": (["c:0:1:5", "p:0:0.95:4", "c:0.999:1:3", "p:0.1:0.3:2"],
+               ["x:0:1:3", "c:1:0:3", "c:0.1:0.9:1", "::", "", "c:0:1", "p:nan:1:3",
+                "c:-1:2:3", "c:0:inf:3", "c:-inf:0:3", "p:-1e308:1e308:3", "p:0:1:abc"]),
+    "certify": (["eta1:0.01:1:7", "eta1:0.2:0.9:3", "eta1:1e-9:1e-6:3"],
+                ["eta1:1e-320:1e-300:3", "eta1:1e-200:1e-172:3", "eta1:0:1:4", "x:0:1:3",
+                 "eta1:1:0:3", "eta1:0.1:0.9:1", "::", "", "eta1:0.5:2:3", "eta1:nan:1:3",
+                 "eta1:-1:0.5:3", "eta1:0.5:inf:3"]),
+}
+
+
+def fuzz_argv(rng, d):
+    """One argv for main(): a subcommand (or none, or an unknown one) with a
+    random subset of its options. File options name files in d, some
+    missing or malformed, and --out always points into d."""
+    def pick(pool):
+        return pool[rng.randrange(len(pool))]
+
+    def value(pools):
+        return pick(pools[1] if rng.random() < 0.25 else pools[0])
+
+    def some(options, p=0.5):
+        argv = []
+        for flag, pools in options:
+            if rng.random() < p:
+                argv += [flag, value(pools)]
+        return argv
+
+    command = pick(["bounds", "certify", "simulate", "verify"] * 5 + ["", "plot"])
+    out = ["--out", value(([f"{d}/out.txt"], [f"{d}/missing/out.txt"]))]
+    if command == "bounds":
+        task = ["--task", value((["med", "ud", "mcm"], ["bogus", ""]))]
+        if rng.random() < 0.1:
+            task = []
+        return ["bounds", *task, *some([("--c", FUZZ_NUMBERS), ("--p", FUZZ_NUMBERS),
+                                        ("--sweep", FUZZ_SWEEPS["bounds"])]), *out]
+    if command == "certify":
+        if rng.random() < 0.25:
+            return ["certify", *some([
+                ("--ensemble", ([f"{d}/pair.json", f"{d}/qutrit.json"],
+                                [f"{d}/broken.json", f"{d}/missing.json"])),
+                ("--rates", (["0.3,0.3", "0.3", "0.2,0.5"],
+                             ["0.6,0.6", "0.2,0.3,0.1", "a,b", "-0.1,0.5", "0,0", ""])),
+                ("--alpha", (["1,0", "0.5,0.5", "1"], ["x", "nan,1", "-1,2"])),
+            ], p=0.8), *out]
+        rate = pick([("--eta1", FUZZ_NUMBERS), ("--sweep", FUZZ_SWEEPS["certify"])])
+        return ["certify", *some([("--c", FUZZ_NUMBERS), ("--p", FUZZ_NUMBERS)]),
+                *some([rate], p=0.9), *out]
+    if command == "simulate":
+        spec = ["--spec", value(([f"{d}/spec.json"], [f"{d}/broken.json", f"{d}/missing.json"]))]
+        if rng.random() < 0.1:
+            spec = []
+        flags = ["--certify"] if rng.random() < 0.5 else []
+        return ["simulate", *spec, *some([("--trials", FUZZ_INTS), ("--seed", FUZZ_INTS),
+                                          ("--loss", FUZZ_NUMBERS)]), *flags, *out]
+    if command == "verify":
+        # The oracle mode draws at most one sample, so the set stays fast.
+        mode = pick([["--mode", "kkt"], ["--mode", "oracle"]] * 3 + [["--mode", "bogus"], []])
+        samples = ["--samples", pick(["0", "1", "1", "-1", "abc"])]
+        return ["verify", *mode, *some([("--c", FUZZ_NUMBERS), ("--p", FUZZ_NUMBERS),
+                                        ("--eta1", FUZZ_NUMBERS)], p=0.7),
+                *some([("--seed", FUZZ_INTS)]), *samples]
+    return [command] if command else []
+
+
+def test_fuzzed_argv_keep_the_exit_code_contract(tmp_path, capsys):
+    # Seeded argv over every subcommand, both verify modes and hostile values
+    # (nan, inf, subnormal and near-overflow rates, malformed sweeps, missing
+    # and broken files): each call returns, or exits through argparse, with a
+    # code in {0, 1, 2, 3} and no traceback.
+    (tmp_path / "pair.json").write_text(ensemble_to_json(make_pure_pair(PairSpec(0.5))))
+    qutrit = Ensemble(((0.3, pure_state([1, 0, 0])), (0.7, pure_state([0.6, 0, 0.8j]))))
+    (tmp_path / "qutrit.json").write_text(ensemble_to_json(qutrit))
+    (tmp_path / "broken.json").write_text("{not json")
+    write_sim_spec(tmp_path / "spec.json", trials=1000)
+    rng = random.Random(20211)
+    for _ in range(300):
+        argv = fuzz_argv(rng, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, argv
+
+
 # --- start-up -----------------------------------------------------------------
 
 STARTUP_SCRIPT = """
@@ -468,15 +636,11 @@ print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy
 
 
 def test_cli_run_imports_no_scipy(tmp_path):
-    # A fresh process, so modules other tests imported do not count. It
-    # imports the same mcdisc as this test, installed or not.
-    src = os.path.dirname(os.path.dirname(mcdisc.__file__))
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    # A fresh process, so modules other tests imported do not count.
     out = tmp_path / "point.json"
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_SCRIPT, str(out)],
-        capture_output=True, text=True, check=True, env=env,
+        capture_output=True, text=True, check=True, env=fresh_env(),
     )
     assert proc.stdout == "0 []\n"
     assert json.loads(out.read_text())["branch"]
