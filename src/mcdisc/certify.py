@@ -21,12 +21,17 @@ candidates. verify_kkt checks the full optimality system of any (primal,
 dual) pair, and certify_general brackets the value for arbitrary small
 ensembles (dimension 2 to 4, any number of detectors) by one primal-dual
 interior-point solve of the certification SDP, whose primal and dual ends
-are then repaired to exact feasibility. The tally route
-(simulator.certify_from_tally) picks by dimension: qubit ensembles take
-certify_qubit_ensemble, all others certify_general.
+are then repaired to exact feasibility. The solver (_sdp_solve) takes a
+leading instance axis: k problems that share their constraint matrices,
+each stopping on its own, with the Schur complement formed from
+X (x) Z^-1 by matrix products; certify_general is its one-instance case.
+The tally route (simulator.certify_from_tally) picks by dimension: qubit
+ensembles take certify_qubit_ensemble, all others certify_general's
+bracket, with the three rate probes solved in one batch.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -642,71 +647,141 @@ SDP_STALL = 2        # iterations without a better iterate before stopping,
 SDP_NEAR = 1e-8      # counted once max(gap, residual) is below this
 SDP_TOL = 1e-13      # max(gap, residual) at which an iterate is final
 SDP_STEP = 0.98      # fraction of the distance to the cone boundary taken
+_TINY = np.finfo(float).tiny
 
 
+@functools.lru_cache(maxsize=None)
 def _hermitian_basis(dim: int) -> np.ndarray:
-    """Basis of the dim x dim Hermitian matrices, orthogonal under Re tr[a b]."""
+    """Basis of the dim x dim Hermitian matrices, orthogonal under Re tr[a b].
+    Cached per dim, so the array is read-only."""
     unit = np.eye(dim * dim).reshape(dim, dim, dim, dim)     # unit[i, j] = |i><j|
     basis = [unit[i, i] for i in range(dim)]
     for i, j in itertools.combinations(range(dim), 2):
         basis += [unit[i, j] + unit[j, i], 1j * (unit[j, i] - unit[i, j])]
-    return np.array(basis, dtype=complex)
+    basis = np.array(basis, dtype=complex)
+    basis.setflags(write=False)
+    return basis
 
 
-def _sdp_solve(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple:
-    """Approximate optima (X, y) of max <C, X> s.t. A(X) = b, X PSD, and of
-    its dual min b.y s.t. Z = A*(y) - C PSD, for Hermitian blocks X, Z, C
-    and constraint matrices A of shape (m, blocks, d, d).
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_j, b_j> for each instance j along the leading axis."""
+    return (a.conj() * b).real.reshape(len(a), -1).sum(axis=1)
+
+
+def _sdp_solve(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> list:
+    """Approximate optima (X, y) of k instances of max <C, X> s.t. A(X) = b,
+    X PSD, and of their duals min b.y s.t. Z = A*(y) - C PSD, for Hermitian
+    blocks X, Z, C. The constraint matrices A, of shape (m, blocks, d, d),
+    are shared; b has shape (k, m) and C shape (k, blocks, d, d). Returns
+    one (X, y) pair per instance, X of shape (blocks, d, d).
 
     Infeasible primal-dual interior-point method from X = Z = I, y = 0:
-    HKM direction, Mehrotra predictor-corrector. Near the optimum of
-    rank-deficient problems the Schur complement loses precision, so the
-    iterate with the smallest max(gap, residual) is returned.
+    HKM direction, Mehrotra predictor-corrector. Each iteration factors the
+    stacked [X; Z] blocks once as L L^H; Z^-1 and both step lengths (from
+    the least eigenvalue of L^-1 dU L^-H) come from that factor. The Schur
+    complement sum_i Re tr[A_k X_i A_l Z_i^-1] is formed from
+    X_i (x) Z_i^-1 as Ab_i M_i Ab_i^T, with Ab_i the i-th blocks of A
+    flattened and M_i[(a,b),(c,e)] = Z_i^-1[e,a] X_i[b,c] (Helmberg, Rendl,
+    Vanderbei and Wolkowicz, SIAM J. Optim. 6(2), 1996).
+
+    Each instance stops on its own, keeping the iterate with the smallest
+    max(gap, residual), because near the optimum of rank-deficient problems
+    the Schur complement loses precision: once that error is below
+    SDP_TOL, after SDP_STALL iterations without a better iterate once it is
+    below SDP_NEAR, when mu = <X, Z> / (blocks d) is no longer positive, or
+    when its Cholesky factor or Schur solve fails. A stopped instance leaves
+    the working arrays. Every operation acts on each instance alone
+    (stacked matmuls and solves, row-wise sums), so an instance's result is
+    the same, bit for bit, whichever others share its batch.
     """
-    def a_op(x):
-        return np.einsum("kiab,iba->k", A, x).real
-
-    def a_adj(y):
-        return np.einsum("k,kiab->iab", y, A)
-
-    def boundary(u, du):    # largest t with every block of u + t du PSD
-        low = np.linalg.eigvals(np.linalg.solve(u, du)).real.min()
-        return -1.0 / low if low < 0.0 else math.inf
-
-    eye, size = np.eye(C.shape[1]), C.shape[0] * C.shape[1]
-    x = np.broadcast_to(eye, C.shape).astype(complex)
-    z, y = x.copy(), np.zeros(len(b))
-    best, best_err, stall = (x, y), math.inf, 0
+    k, m = b.shape
+    blocks, d = C.shape[1], C.shape[-1]
+    a_t = A.transpose(1, 3, 2, 0).reshape(-1, m)    # A(G)_k = Re tr[A_k G] = Re vec(G) @ a_t
+    a_f = A.reshape(m, -1)                          # A*(y) = y @ a_f
+    a_b = A.transpose(1, 0, 2, 3).reshape(blocks, m, d * d)
+    u = np.broadcast_to(np.eye(d, dtype=complex), (k, 2 * blocks, d, d)).copy()   # [X; Z]
+    y = np.zeros((k, m))
+    live = list(range(k))
+    best, best_err, stall = [None] * k, [math.inf] * k, [0] * k
     for _ in range(SDP_MAX_ITER):
-        rp, rd = b - a_op(x), C + z - a_adj(y)
-        err = max(abs(np.vdot(C, x).real - b @ y), np.linalg.norm(rp), np.linalg.norm(rd))
-        if err < best_err:
-            best, best_err, stall = (x, y), err, 0
-        elif best_err < SDP_NEAR:
-            stall += 1
-        if best_err < SDP_TOL or stall >= SDP_STALL:
+        n = len(live)
+        x, z = u[:, :blocks], u[:, blocks:]
+        rp = b - (x.reshape(n, 1, -1) @ a_t)[:, 0].real
+        rd = C + z - (y.reshape(n, 1, m) @ a_f).reshape(x.shape)
+        err = np.maximum(np.abs(_rowdot(C, x) - (b * y).sum(axis=1)),
+                         np.maximum(np.linalg.norm(rp, axis=1),
+                                    np.linalg.norm(rd.reshape(n, -1), axis=1)))
+        mu = _rowdot(x, z) / (blocks * d)
+        keep = []
+        for j, (i, err_j, mu_j) in enumerate(zip(live, err.tolist(), mu.tolist())):
+            if err_j < best_err[i]:
+                best[i], best_err[i], stall[i] = (x[j], y[j]), err_j, 0
+            elif best_err[i] < SDP_NEAR:
+                stall[i] += 1
+            if best_err[i] >= SDP_TOL and stall[i] < SDP_STALL and mu_j > 0.0:
+                keep.append(j)
+        if len(keep) < n:
+            u, y, b, C, rp, rd, mu = (v[keep] for v in (u, y, b, C, rp, rd, mu))
+            live = [live[j] for j in keep]
+        if not live:
             break
         try:
-            z_inv = np.linalg.inv(z)
-            schur = np.einsum("kiab,liba->kl", A, x @ A @ z_inv).real
-
-            def direction(rc):
-                dy = np.linalg.solve(schur, a_op((rc + x @ rd) @ z_inv) - rp)
-                dz = a_adj(dy) - rd
-                dx = (rc - x @ dz) @ z_inv
-                return (dx + np.swapaxes(dx.conj(), -1, -2)) / 2.0, dy, dz
-
-            xz, mu = x @ z, np.vdot(x, z).real / size
-            dx, dy, dz = direction(-xz)
-            tp, td = min(1.0, boundary(x, dx)), min(1.0, boundary(z, dz))
-            sigma = (np.vdot(x + tp * dx, z + td * dz).real / (size * mu)) ** 3
-            dx, dy, dz = direction(sigma * mu * eye - xz - dx @ dz)
-            tp = min(1.0, SDP_STEP * boundary(x, dx))
-            td = min(1.0, SDP_STEP * boundary(z, dz))
+            u, y = _sdp_step(a_t, a_f, a_b, u, y, rp, rd, mu)
         except np.linalg.LinAlgError:
-            break
-        x, y, z = x + tp * dx, y + td * dy, z + td * dz
+            # A stacked factorisation raises if any instance fails: step each
+            # alone, and stop the ones that fail.
+            steps = {}
+            for j in range(len(live)):
+                one = slice(j, j + 1)
+                try:
+                    steps[j] = _sdp_step(a_t, a_f, a_b, u[one], y[one], rp[one], rd[one], mu[one])
+                except np.linalg.LinAlgError:
+                    pass
+            if not steps:
+                break
+            keep = list(steps)
+            b, C, live = b[keep], C[keep], [live[j] for j in keep]
+            u = np.concatenate([steps[j][0] for j in keep])
+            y = np.concatenate([steps[j][1] for j in keep])
     return best
+
+
+def _sdp_step(a_t, a_f, a_b, u, y, rp, rd, mu) -> tuple:
+    """One predictor-corrector step of _sdp_solve for a stack of instances:
+    the new [X; Z] blocks and y. Raises LinAlgError if a Cholesky factor or
+    Schur solve of any instance fails."""
+    n, blocks, d = len(u), u.shape[1] // 2, u.shape[-1]
+    x, z = u[:, :blocks], u[:, blocks:]
+    inv_l = np.linalg.inv(np.linalg.cholesky(u))
+    inv_lh = inv_l.conj().swapaxes(-1, -2)
+    w = inv_lh[:, blocks:] @ inv_l[:, blocks:]      # Z^-1
+    kron = w.swapaxes(-1, -2)[..., :, None, None, :] * x[..., None, :, :, None]
+    schur = (a_b @ kron.reshape(n, blocks, d * d, d * d) @ a_b.swapaxes(-1, -2)).sum(axis=1).real
+    schur = (schur + schur.swapaxes(-1, -2)) / 2.0    # symmetric in exact arithmetic; narrows brackets
+    x_rd = x @ rd
+
+    def direction(rc):
+        rhs = ((rc + x_rd) @ w).reshape(n, 1, -1) @ a_t
+        dy = np.linalg.solve(schur, (rhs[:, 0].real - rp)[..., None])[..., 0]
+        dz = (dy.reshape(n, 1, -1) @ a_f).reshape(x.shape) - rd
+        dx = (rc - x @ dz) @ w
+        return np.concatenate([(dx + dx.conj().swapaxes(-1, -2)) / 2.0, dz], axis=1), dy
+
+    def lengths(du, frac):  # (primal, dual): frac of the way to the PSD boundary, at most 1
+        low = np.linalg.eigvalsh(inv_l @ du @ inv_lh)[..., 0].reshape(n, 2, blocks).min(axis=2)
+        return np.minimum(1.0, frac / np.maximum(-low, _TINY))
+
+    def advance(t, du):
+        return u + np.repeat(t, blocks, axis=1)[..., None, None] * du
+
+    xz = x @ z
+    du, _ = direction(-xz)
+    trial = advance(lengths(du, 1.0), du)
+    sigma = (_rowdot(trial[:, :blocks], trial[:, blocks:]) / (blocks * d * mu)) ** 3
+    rc = (sigma * mu)[:, None, None, None] * np.eye(d) - xz - du[:, :blocks] @ du[:, blocks:]
+    du, dy = direction(rc)
+    t = lengths(du, SDP_STEP)
+    return advance(t, du), y + t[:, 1:] * dy
 
 
 def certify_general(e: Ensemble, alpha: WeightVector, rates: OutcomeRates) -> GeneralCertificate:
@@ -715,46 +790,72 @@ def certify_general(e: Ensemble, alpha: WeightVector, rates: OutcomeRates) -> Ge
     The value is the SDP max sum_y c_y tr[M_y rho_y], c_y = alpha_y q_y / eta_y,
     over POVMs with tr[M_y rho] = eta_y; its dual is min tr K + s.eta over
     K and Z_y = K + s_y rho - c_y rho_y PSD. One interior-point solve
-    approximates both. lower is the value of its POVM made exactly feasible
-    (each element moved to its rate, the largest-rate one reset to I minus
-    the rest, all mixed toward M_y = eta_y I until PSD); upper is the dual
-    objective once negative eigenvalues of K and the Z_y are shifted into
-    K. The optimum lies in [lower, upper] up to 1e-9 arithmetic slack, and
-    repeated calls return the same bracket. Raises NumericalError if upper
-    falls below lower.
+    (_sdp_solve, here with one instance) approximates both. lower is the
+    value of its POVM made exactly feasible (each element moved to its
+    rate, the largest-rate one reset to I minus the rest, all mixed toward
+    M_y = eta_y I until PSD); upper is the dual objective once negative
+    eigenvalues of K and the Z_y are shifted into K. The optimum lies in
+    [lower, upper] up to 1e-9 arithmetic slack, and repeated calls return
+    the same bracket, as does a batched solve of the same rates
+    (simulator.certify_from_tally). Raises NumericalError if upper falls
+    below lower.
     """
-    n = rates.n
-    if len(alpha.alpha) != n:
-        raise DimensionMismatchError(f"alpha has {len(alpha.alpha)} entries for {n} detectors")
-    if n < 1 or n > len(e):
-        raise DimensionMismatchError(f"{n} detectors incompatible with {len(e)} states")
-    if sum(rates.eta) > 1.0 + RATE_SUM_TOL:
-        raise InfeasibleRateError(f"detector rates sum to {sum(rates.eta)} > 1")
+    return _certify_general_batch(e, alpha, (rates,))[0]
+
+
+def _certify_general_batch(e: Ensemble, alpha: WeightVector, batch) -> list:
+    """certify_general for each OutcomeRates in batch, with one _sdp_solve
+    per SDP layout: rates whose SDPs have the same blocks and rate rows
+    share their constraint matrices and are solved together. Each bracket
+    equals certify_general's for the same rates, bit for bit."""
     dim, rho = e.dim, average_state(e).matrix
-    eye = np.eye(dim, dtype=complex)
-    coeff = _objective_weights(e, alpha, rates)
-    targets = [coeff[y] * e.states[y].matrix for y in range(n)]
+    layouts, coeffs = {}, []
+    for index, rates in enumerate(batch):
+        n = rates.n
+        if len(alpha.alpha) != n:
+            raise DimensionMismatchError(f"alpha has {len(alpha.alpha)} entries for {n} detectors")
+        if n < 1 or n > len(e):
+            raise DimensionMismatchError(f"{n} detectors incompatible with {len(e)} states")
+        if sum(rates.eta) > 1.0 + RATE_SUM_TOL:
+            raise InfeasibleRateError(f"detector rates sum to {sum(rates.eta)} > 1")
+        coeffs.append(_objective_weights(e, alpha, rates))
+        # SDP blocks: the arms with nonzero rate (a rate-0 arm has weight 0 and
+        # keeps M_y = 0) and the inconclusive element n. With eta_0 = 0 it and
+        # the last rate row (implied by completeness) are dropped, or the primal
+        # has no interior and the dual a line of optima (K - t rho, s + t).
+        arms = tuple(y for y in range(n) if rates.eta[y] > 0.0)
+        layout = (arms, arms[:-1]) if rates.eta0 <= RATE_SUM_TOL else (arms + (n,), arms)
+        layouts.setdefault(layout, []).append(index)
 
-    # SDP blocks: the arms with nonzero rate (a rate-0 arm has weight 0 and
-    # keeps M_y = 0) and the inconclusive element n. With eta_0 = 0 it and
-    # the last rate row (implied by completeness) are dropped, or the primal
-    # has no interior and the dual a line of optima (K - t rho, s + t).
-    arms = [y for y in range(n) if rates.eta[y] > 0.0]
-    saturated = rates.eta0 <= RATE_SUM_TOL
-    blocks, rows = (arms, arms[:-1]) if saturated else (arms + [n], arms)
     basis = _hermitian_basis(dim)
-    A = np.zeros((len(basis) + len(rows), len(blocks), dim, dim), dtype=complex)
-    A[: len(basis)] = basis[:, None]
-    for k, y in enumerate(rows):
-        A[len(basis) + k, blocks.index(y)] = rho
-    b = np.concatenate([np.trace(basis, axis1=1, axis2=2).real, [rates.eta[y] for y in rows]])
-    x, y_opt = _sdp_solve(A, b, np.array([targets[y] if y < n else 0.0 * eye for y in blocks]))
+    traces = np.trace(basis, axis1=1, axis2=2).real
+    certs = [None] * len(batch)
+    for (blocks, rows), members in layouts.items():
+        A = np.zeros((len(basis) + len(rows), len(blocks), dim, dim), dtype=complex)
+        A[: len(basis)] = basis[:, None]
+        for k, y in enumerate(rows):
+            A[len(basis) + k, blocks.index(y)] = rho
+        targets = [[coeffs[i][y] * state.matrix for y, state in enumerate(e.states[: batch[i].n])]
+                   for i in members]
+        b = np.array([np.concatenate([traces, [batch[i].eta[y] for y in rows]]) for i in members])
+        zero = np.zeros((dim, dim))
+        C = np.array([[t[y] if y < len(t) else zero for y in blocks] for t in targets])
+        for i, t, (x, y_opt) in zip(members, targets, _sdp_solve(A, b, C)):
+            certs[i] = _general_bracket(rho, basis, batch[i], t, blocks, rows, x, y_opt)
+    return certs
 
+
+def _general_bracket(rho, basis, rates, targets, blocks, rows, x, y_opt) -> GeneralCertificate:
+    """certify_general's bracket from the SDP's approximate optimum (x, y_opt):
+    both ends repaired to exact feasibility."""
+    n, dim = rates.n, len(rho)
+    eye = np.eye(dim, dtype=complex)
     K = np.einsum("k,kab->ab", y_opt[: len(basis)], basis)
     s = np.zeros(n)
-    s[rows] = y_opt[len(basis):]
-    if saturated:
-        # K + s_y rho >= Z_y >= 0 for each y: t = min s_y moves K to a PSD point.
+    s[list(rows)] = y_opt[len(basis):]
+    arms = [y for y in blocks if y < n]
+    if len(rows) < len(arms):
+        # Saturated: K + s_y rho >= Z_y >= 0 for each y, so t = min s_y moves K to a PSD point.
         t = s[arms].min()
         K, s[arms] = K + t * rho, s[arms] - t
     slack = [K + s[y] * rho - targets[y] for y in range(n)]

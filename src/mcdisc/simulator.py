@@ -12,7 +12,7 @@ one counter-based stream is derived from the seed.
 
 certify_from_tally routes by dimension alone: a qubit ensemble is
 certified in closed form (certify_qubit_ensemble), any other by the
-general SDP bracket.
+general SDP bracket, its three rate probes in one batched solve.
 """
 from __future__ import annotations
 
@@ -20,11 +20,10 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .certify import OutcomeRates, WeightVector, certify_general, certify_qubit_ensemble
+from .certify import OutcomeRates, WeightVector, _certify_general_batch, certify_qubit_ensemble
 from .ensembles import Ensemble
 from .errors import (
     DimensionMismatchError,
@@ -149,8 +148,11 @@ def certify_from_tally(t: Tally, e: Ensemble) -> TallyCertification:
     both Wilson 95% endpoints; the value interval spans all three results.
 
     Only detector 1's rate is constrained (a sound relaxation). The values
-    are certify_qubit_ensemble's for a qubit ensemble and the upper ends of
-    certify_general's brackets otherwise.
+    are certify_qubit_ensemble's for a qubit ensemble and otherwise the
+    upper ends of certify_general's brackets, with the three probes solved
+    as one batch (a probe within 1e-9 of eta1 = 1 has no inconclusive
+    block, so it has its own SDP layout and solve); each bracket equals a
+    lone certify_general call's bit for bit.
     """
     rates = t.rates()
     eta1_hat = float(rates[1])
@@ -161,13 +163,12 @@ def certify_from_tally(t: Tally, e: Ensemble) -> TallyCertification:
     probe = [eta1_hat, lo, hi]
 
     if e.dim == 2:
-        certify, bound = partial(certify_qubit_ensemble, e), "value"
+        reports = [certify_qubit_ensemble(e, eta) for eta in probe]
+        values = [report.value for report in reports]
     else:
-        def certify(eta):
-            return certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta))
-        bound = "upper"
-    reports = [certify(eta) for eta in probe]
-    values = [getattr(report, bound) for report in reports]
+        batch = [OutcomeRates((eta,), 1.0 - eta) for eta in probe]
+        reports = _certify_general_batch(e, WeightVector((1.0,)), batch)
+        values = [report.upper for report in reports]
     return TallyCertification(reports[0], (lo, hi), (min(values), max(values)))
 
 

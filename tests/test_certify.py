@@ -1,6 +1,7 @@
 """Rate-constrained confidence certification: analytic engine, KKT checks,
 SDP bracketing, and the quantum/noncontextual gap relation."""
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdisc import qmath
+from mcdisc import certify, qmath
 from mcdisc.certify import (
     KKT_TOL,
     CertReport,
@@ -16,6 +17,7 @@ from mcdisc.certify import (
     GeneralCertificate,
     OutcomeRates,
     WeightVector,
+    _certify_general_batch,
     certify_general,
     certify_qubit,
     certify_qubit_ensemble,
@@ -442,6 +444,88 @@ def test_general_certificate_is_reported_honestly():
     assert cert.upper >= cert.lower - 1e-9
     # the dual objective recomputed from the certificate matches the bound
     assert cert.dual.objective(rates) == pytest.approx(cert.upper, abs=1e-9)
+
+
+def same_certificate(a, b):
+    """Bitwise equality of two GeneralCertificates: bracket, POVM and dual."""
+    def parts(cert):
+        dual = cert.dual
+        return [cert.lower, cert.upper, *cert.povm.elements, cert.povm.inconclusive,
+                dual.K, dual.s, dual.r, dual.r0, *dual.sigma, dual.sigma0]
+    return all(np.array_equal(x, y) for x, y in zip(parts(a), parts(b), strict=True))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_general_batch_matches_solo_calls(dim, monkeypatch):
+    # Rates sharing an SDP layout are solved as one batch, and eta1 = 1
+    # (saturated: no inconclusive block) as a batch of its own. Members
+    # leave the batch at different iterations, yet each keeps the bracket,
+    # POVM and dual of its own certify_general call, bit for bit.
+    rng = np.random.default_rng([24, dim])
+    e, _ = random_instance(rng, dim, 1, False)
+    alpha = WeightVector((1.0,))
+    batch = [OutcomeRates((eta,), 1.0 - eta) for eta in (1e-3, 0.2, 0.5, 0.9, 1.0)]
+    sizes, step = [], certify._sdp_step       # instances in each stacked step
+    monkeypatch.setattr(certify, "_sdp_step", lambda *a: sizes.append(len(a[3])) or step(*a))
+    certs = _certify_general_batch(e, alpha, batch)
+    monkeypatch.undo()
+    assert sizes[0] == 4 and 1 < min(sizes[: sizes.index(1)]) < 4
+    for rates, cert in zip(batch, certs, strict=True):
+        assert same_certificate(cert, certify_general(e, alpha, rates))
+
+
+def test_general_batch_member_failure_stops_alone(monkeypatch):
+    # A member whose Cholesky factor fails stops with its best iterate; the
+    # others run on to their solo results.
+    rng = np.random.default_rng(24)
+    e, _ = random_instance(rng, 3, 1, False)
+    alpha = WeightVector((1.0,))
+    batch = [OutcomeRates((eta,), 1.0 - eta) for eta in (0.2, 0.4, 0.6)]
+    solo = [certify_general(e, alpha, rates) for rates in batch]
+    cholesky = np.linalg.cholesky
+
+    def failing():
+        # The fourth step's stacked factorisation fails, and so does the
+        # first member's retry alone (call 5); the others' retries succeed.
+        calls = itertools.count(1)
+
+        def fake(a):
+            if next(calls) in (4, 5):
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+        return fake
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing())
+    certs = _certify_general_batch(e, alpha, batch)
+    monkeypatch.setattr(np.linalg, "cholesky", failing())
+    stopped = certify_general(e, alpha, batch[0])
+    monkeypatch.undo()
+    assert same_certificate(certs[0], stopped)
+    assert not same_certificate(stopped, solo[0])
+    assert stopped.lower <= stopped.upper
+    for cert, ref in zip(certs[1:], solo[1:], strict=True):
+        assert same_certificate(cert, ref)
+
+
+def tiny_rate_pair():
+    """Draw 165 of default_rng(2024): a rank-1 and a rank-2 qubit state with
+    equal priors, on which the solver once divided by mu = 0 at eta1 = 1e-9."""
+    rng = np.random.default_rng(2024)
+    for _ in range(166):
+        states = []
+        for rank in (1, 2):
+            w = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+            m = w @ w.conj().T
+            states.append(DensityMatrix(m / np.real(np.trace(m))))
+    return Ensemble(((0.5, states[0]), (0.5, states[1])))
+
+
+def test_general_tiny_rate_bracket_is_sound_without_warnings():
+    e = tiny_rate_pair()
+    cert = certify_general(e, WeightVector((1.0,)), OutcomeRates((1e-9,), 1.0 - 1e-9))
+    value = certify_qubit_ensemble(e, 1e-9).value
+    assert cert.lower <= cert.upper
+    assert cert.lower - 1e-9 <= value <= cert.upper + 1e-9
 
 
 # --- closed-form qubit ensembles --------------------------------------------------

@@ -13,8 +13,10 @@ import pytest
 
 import mcdisc
 from mcdisc import cli
+from mcdisc.certify import certify_qubit_ensemble
 from mcdisc.cli import main
 from mcdisc.ensembles import (
+    DensityMatrix,
     Ensemble,
     PairSpec,
     ensemble_to_json,
@@ -220,6 +222,26 @@ def test_certify_general_route(tmp_path, capsys):
     assert doc["lower"] <= doc["upper"]
     assert doc["upper"] == pytest.approx(0.6767766952966369, abs=1e-4)
     assert "dual" in doc and "povm" in doc
+
+
+def test_certify_general_route_tiny_rate_is_quiet(tmp_path, capsys):
+    # Draw 165 of default_rng(2024), a rank-1 and a rank-2 qubit state, on
+    # which the solver once divided by mu = 0 and printed numpy warnings.
+    rng = np.random.default_rng(2024)
+    for _ in range(166):
+        states = []
+        for rank in (1, 2):
+            w = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+            m = w @ w.conj().T
+            states.append(DensityMatrix(m / np.real(np.trace(m))))
+    e = Ensemble(((0.5, states[0]), (0.5, states[1])))
+    path = tmp_path / "pair.json"
+    path.write_text(ensemble_to_json(e))
+    code, out, err = run_cli(capsys, ["certify", "--ensemble", str(path), "--rates", "1e-9"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    value = certify_qubit_ensemble(e, 1e-9).value
+    assert doc["lower"] - 1e-9 <= value <= doc["upper"] + 1e-9
 
 
 def test_certify_rejects_out_of_range_c(capsys):

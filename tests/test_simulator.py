@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from mcdisc import certify
 from mcdisc.certify import (
     CertReport,
     GeneralCertificate,
@@ -271,6 +272,29 @@ def test_certify_from_tally_general_route():
     uppers = [
         certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta)).upper
         for eta in _probes(tally)
+    ]
+    assert cert.value_interval == (min(uppers), max(uppers))
+
+
+def test_certify_from_tally_all_clicks_qutrit(monkeypatch):
+    # A detector that always clicks: eta1_hat = 1 and Wilson hi rounds to
+    # 1 - 1.1e-16. Both probes are saturated (no inconclusive block), so
+    # they share one SDP solve and the Wilson low end has another; the value
+    # interval still equals that of three serial certify_general calls.
+    v2 = np.array([0.6, 0.8, 0.0])
+    e = Ensemble(((0.5, pure_state([1.0, 0.0, 0.0])), (0.5, pure_state(v2))))
+    povm = Povm((np.eye(3, dtype=complex),), np.zeros((3, 3), dtype=complex))
+    tally = run(ExperimentSpec(e, povm, trials=20_000, seed=19))
+    probes = _probes(tally)
+    assert probes[0] == 1.0 and 1.0 - probes[2] < 1e-15 and probes[1] < 0.9999
+    batches, solve = [], certify._sdp_solve
+    monkeypatch.setattr(certify, "_sdp_solve", lambda A, b, C: batches.append(len(b)) or solve(A, b, C))
+    cert = certify_from_tally(tally, e)
+    monkeypatch.undo()
+    assert sorted(batches) == [1, 2]
+    uppers = [
+        certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta)).upper
+        for eta in probes
     ]
     assert cert.value_interval == (min(uppers), max(uppers))
 
