@@ -23,8 +23,10 @@ ensembles (dimension 2 to 4, any number of detectors) by one primal-dual
 interior-point solve of the certification SDP, whose primal and dual ends
 are then repaired to exact feasibility. The solver (_sdp_solve) takes a
 leading instance axis: k problems that share their constraint matrices,
-each stopping on its own, with the Schur complement formed from
-X (x) Z^-1 by matrix products; certify_general is its one-instance case.
+each stopping on its own, with the Schur complement formed by stacked
+matrix products; certify_general is its one-instance case. Where the
+average state rho is rank-deficient, both repaired ends are first
+compressed to its support.
 The tally route (simulator.certify_from_tally) picks by dimension: qubit
 ensembles take certify_qubit_ensemble, all others certify_general's
 bracket, with the three rate probes solved in one batch.
@@ -676,20 +678,22 @@ def _sdp_solve(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> list:
     one (X, y) pair per instance, X of shape (blocks, d, d).
 
     Infeasible primal-dual interior-point method from X = Z = I, y = 0:
-    HKM direction, Mehrotra predictor-corrector. Each iteration factors the
+    HKM direction, Mehrotra predictor-corrector (Helmberg, Rendl, Vanderbei
+    and Wolkowicz, SIAM J. Optim. 6(2), 1996). Each iteration factors the
     stacked [X; Z] blocks once as L L^H; Z^-1 and both step lengths (from
-    the least eigenvalue of L^-1 dU L^-H) come from that factor. The Schur
-    complement sum_i Re tr[A_k X_i A_l Z_i^-1] is formed from
-    X_i (x) Z_i^-1 as Ab_i M_i Ab_i^T, with Ab_i the i-th blocks of A
-    flattened and M_i[(a,b),(c,e)] = Z_i^-1[e,a] X_i[b,c] (Helmberg, Rendl,
-    Vanderbei and Wolkowicz, SIAM J. Optim. 6(2), 1996).
+    the least eigenvalue of L^-1 dU L^-H) come from that factor. Where only
+    X's factor fails, as it can at tiny rates, Z is factored alone and X's
+    step length comes from the eigenvalues of X^-1 dX. The Schur complement
+    sum_i Re tr[A_k X_i A_l Z_i^-1] is A applied to the stacked products
+    X_i (A_l Z_i^-1); the same sum taken as Ab_i (X_i (x) Z_i^-1) Ab_i^T
+    has other rounding and stalls at rates of 1e-8 and below.
 
     Each instance stops on its own, keeping the iterate with the smallest
     max(gap, residual), because near the optimum of rank-deficient problems
     the Schur complement loses precision: once that error is below
     SDP_TOL, after SDP_STALL iterations without a better iterate once it is
     below SDP_NEAR, when mu = <X, Z> / (blocks d) is no longer positive, or
-    when its Cholesky factor or Schur solve fails. A stopped instance leaves
+    when Z's Cholesky factor or the Schur solve fails. A stopped instance leaves
     the working arrays. Every operation acts on each instance alone
     (stacked matmuls and solves, row-wise sums), so an instance's result is
     the same, bit for bit, whichever others share its batch.
@@ -698,7 +702,7 @@ def _sdp_solve(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> list:
     blocks, d = C.shape[1], C.shape[-1]
     a_t = A.transpose(1, 3, 2, 0).reshape(-1, m)    # A(G)_k = Re tr[A_k G] = Re vec(G) @ a_t
     a_f = A.reshape(m, -1)                          # A*(y) = y @ a_f
-    a_b = A.transpose(1, 0, 2, 3).reshape(blocks, m, d * d)
+    a_r = A.transpose(1, 0, 2, 3).reshape(blocks, m * d, d)    # per block: A_l stacked by rows
     u = np.broadcast_to(np.eye(d, dtype=complex), (k, 2 * blocks, d, d)).copy()   # [X; Z]
     y = np.zeros((k, m))
     live = list(range(k))
@@ -726,17 +730,20 @@ def _sdp_solve(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> list:
         if not live:
             break
         try:
-            u, y = _sdp_step(a_t, a_f, a_b, u, y, rp, rd, mu)
+            u, y = _sdp_step(a_t, a_f, a_r, u, y, rp, rd, mu)
         except np.linalg.LinAlgError:
             # A stacked factorisation raises if any instance fails: step each
-            # alone, and stop the ones that fail.
+            # alone, without X's factor where that fails, and stop the ones
+            # that still fail.
             steps = {}
             for j in range(len(live)):
-                one = slice(j, j + 1)
-                try:
-                    steps[j] = _sdp_step(a_t, a_f, a_b, u[one], y[one], rp[one], rd[one], mu[one])
-                except np.linalg.LinAlgError:
-                    pass
+                one = (a_t, a_f, a_r) + tuple(v[j : j + 1] for v in (u, y, rp, rd, mu))
+                for factor_x in (True, False):
+                    try:
+                        steps[j] = _sdp_step(*one, factor_x)
+                        break
+                    except np.linalg.LinAlgError:
+                        pass
             if not steps:
                 break
             keep = list(steps)
@@ -746,17 +753,21 @@ def _sdp_solve(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> list:
     return best
 
 
-def _sdp_step(a_t, a_f, a_b, u, y, rp, rd, mu) -> tuple:
+def _sdp_step(a_t, a_f, a_r, u, y, rp, rd, mu, factor_x=True) -> tuple:
     """One predictor-corrector step of _sdp_solve for a stack of instances:
     the new [X; Z] blocks and y. Raises LinAlgError if a Cholesky factor or
-    Schur solve of any instance fails."""
-    n, blocks, d = len(u), u.shape[1] // 2, u.shape[-1]
+    Schur solve of any instance fails. With factor_x False only Z is
+    factored, and X's step length comes from the eigenvalues of X^-1 dX:
+    at tiny rates X's least eigenvalue can fall below the rounding of its
+    entries, so its Cholesky factor fails while X^-1 dX is still usable."""
+    n, blocks, d, m = len(u), u.shape[1] // 2, u.shape[-1], a_t.shape[1]
     x, z = u[:, :blocks], u[:, blocks:]
-    inv_l = np.linalg.inv(np.linalg.cholesky(u))
+    inv_l = np.linalg.inv(np.linalg.cholesky(u if factor_x else z))
     inv_lh = inv_l.conj().swapaxes(-1, -2)
-    w = inv_lh[:, blocks:] @ inv_l[:, blocks:]      # Z^-1
-    kron = w.swapaxes(-1, -2)[..., :, None, None, :] * x[..., None, :, :, None]
-    schur = (a_b @ kron.reshape(n, blocks, d * d, d * d) @ a_b.swapaxes(-1, -2)).sum(axis=1).real
+    w = inv_lh[:, -blocks:] @ inv_l[:, -blocks:]    # Z^-1
+    a_w = (a_r @ w).reshape(n, blocks, m, d, d).transpose(0, 1, 3, 2, 4).reshape(n, blocks, d, m * d)
+    x_a_w = (x @ a_w).reshape(n, blocks, d, m, d).transpose(0, 3, 1, 2, 4).reshape(n, m, -1)
+    schur = (x_a_w @ a_t).real                      # [l, k] = Re tr[A_k X A_l Z^-1]
     schur = (schur + schur.swapaxes(-1, -2)) / 2.0    # symmetric in exact arithmetic; narrows brackets
     x_rd = x @ rd
 
@@ -768,7 +779,12 @@ def _sdp_step(a_t, a_f, a_b, u, y, rp, rd, mu) -> tuple:
         return np.concatenate([(dx + dx.conj().swapaxes(-1, -2)) / 2.0, dz], axis=1), dy
 
     def lengths(du, frac):  # (primal, dual): frac of the way to the PSD boundary, at most 1
-        low = np.linalg.eigvalsh(inv_l @ du @ inv_lh)[..., 0].reshape(n, 2, blocks).min(axis=2)
+        if factor_x:
+            low = np.linalg.eigvalsh(inv_l @ du @ inv_lh)[..., 0].reshape(n, 2, blocks).min(axis=2)
+        else:
+            low_x = np.linalg.eigvals(np.linalg.solve(x, du[:, :blocks])).real.min(axis=(1, 2))
+            low_z = np.linalg.eigvalsh(inv_l @ du[:, blocks:] @ inv_lh)[..., 0].min(axis=1)
+            low = np.stack([low_x, low_z], axis=1)
         return np.minimum(1.0, frac / np.maximum(-low, _TINY))
 
     def advance(t, du):
@@ -790,11 +806,13 @@ def certify_general(e: Ensemble, alpha: WeightVector, rates: OutcomeRates) -> Ge
     The value is the SDP max sum_y c_y tr[M_y rho_y], c_y = alpha_y q_y / eta_y,
     over POVMs with tr[M_y rho] = eta_y; its dual is min tr K + s.eta over
     K and Z_y = K + s_y rho - c_y rho_y PSD. One interior-point solve
-    (_sdp_solve, here with one instance) approximates both. lower is the
-    value of its POVM made exactly feasible (each element moved to its
-    rate, the largest-rate one reset to I minus the rest, all mixed toward
-    M_y = eta_y I until PSD); upper is the dual objective once negative
-    eigenvalues of K and the Z_y are shifted into K. The optimum lies in
+    (_sdp_solve, here with one instance) approximates both. Where rho is
+    rank-deficient, K and every element are first compressed to supp rho,
+    which changes no rate or value. lower is the value of the POVM made
+    exactly feasible (each element moved to its rate, the largest-rate one
+    reset to I minus the rest, all mixed toward M_y = eta_y I until PSD);
+    upper is the dual objective once negative eigenvalues of K and the Z_y
+    are shifted into K. The optimum lies in
     [lower, upper] up to 1e-9 arithmetic slack, and repeated calls return
     the same bracket, as does a batched solve of the same rates
     (simulator.certify_from_tally). Raises NumericalError if upper falls
@@ -858,6 +876,16 @@ def _general_bracket(rho, basis, rates, targets, blocks, rows, x, y_opt) -> Gene
         # Saturated: K + s_y rho >= Z_y >= 0 for each y, so t = min s_y moves K to a PSD point.
         t = s[arms].min()
         K, s[arms] = K + t * rho, s[arms] - t
+    values, vectors = qmath.eig_hermitian(rho)
+    support = vectors[:, values >= qmath.SUPPORT_EPS]
+    if support.shape[1] < dim:
+        # q_y rho_y <= rho, so off supp rho (projector P) an element or K
+        # changes no rate or value and only adds rounding, which
+        # c_y = alpha_y q_y / eta_y magnifies. P K P and P x P are feasible
+        # where K and x are, and the completion below puts I - P into one
+        # element.
+        proj = support @ support.conj().T
+        K, x = ((h + h.conj().swapaxes(-1, -2)) / 2.0 for h in (proj @ K @ proj, proj @ x @ proj))
     slack = [K + s[y] * rho - targets[y] for y in range(n)]
     deficit = max(0.0, *(-qmath.min_eig(m) for m in [K] + slack))
     dual = DualCertificate.from_slacks(K + deficit * eye, s, [m + deficit * eye for m in slack])

@@ -474,9 +474,13 @@ def test_general_batch_matches_solo_calls(dim, monkeypatch):
         assert same_certificate(cert, certify_general(e, alpha, rates))
 
 
-def test_general_batch_member_failure_stops_alone(monkeypatch):
-    # A member whose Cholesky factor fails stops with its best iterate; the
-    # others run on to their solo results.
+@pytest.mark.parametrize("forced", [(4, 5), (4, 5, 6)], ids=["x-unfactored", "stopped"])
+def test_general_batch_member_failure_stays_alone(forced, monkeypatch):
+    # The fourth step's stacked factorisation fails (Cholesky call 4), and
+    # so does the first member's retry alone (call 5). That member then
+    # steps with Z factored alone (call 6), or stops with its best iterate
+    # if that fails too. The others' retries succeed, and every member
+    # keeps the result of its own solve with the same failures.
     rng = np.random.default_rng(24)
     e, _ = random_instance(rng, 3, 1, False)
     alpha = WeightVector((1.0,))
@@ -485,12 +489,10 @@ def test_general_batch_member_failure_stops_alone(monkeypatch):
     cholesky = np.linalg.cholesky
 
     def failing():
-        # The fourth step's stacked factorisation fails, and so does the
-        # first member's retry alone (call 5); the others' retries succeed.
         calls = itertools.count(1)
 
         def fake(a):
-            if next(calls) in (4, 5):
+            if next(calls) in forced:
                 raise np.linalg.LinAlgError("forced")
             return cholesky(a)
         return fake
@@ -507,21 +509,8 @@ def test_general_batch_member_failure_stops_alone(monkeypatch):
         assert same_certificate(cert, ref)
 
 
-def tiny_rate_pair():
-    """Draw 165 of default_rng(2024): a rank-1 and a rank-2 qubit state with
-    equal priors, on which the solver once divided by mu = 0 at eta1 = 1e-9."""
-    rng = np.random.default_rng(2024)
-    for _ in range(166):
-        states = []
-        for rank in (1, 2):
-            w = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
-            m = w @ w.conj().T
-            states.append(DensityMatrix(m / np.real(np.trace(m))))
-    return Ensemble(((0.5, states[0]), (0.5, states[1])))
-
-
-def test_general_tiny_rate_bracket_is_sound_without_warnings():
-    e = tiny_rate_pair()
+def test_general_tiny_rate_bracket_is_sound_without_warnings(tiny_rate_pair):
+    e = tiny_rate_pair
     cert = certify_general(e, WeightVector((1.0,)), OutcomeRates((1e-9,), 1.0 - 1e-9))
     value = certify_qubit_ensemble(e, 1e-9).value
     assert cert.lower <= cert.upper
@@ -606,6 +595,44 @@ def test_qubit_ensemble_identical_pure_states():
     for eta in (1e-9, 0.3, 0.5, 1.0):
         report = inside_general_bracket(e, eta)
         assert report.value == pytest.approx(0.3, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "vector", [[0.6, 0.8j], [0.6, 0.0, 0.8j], [0.5, 0.5, 0.5j, 0.5]], ids=["d2", "d3", "d4"]
+)
+def test_general_identical_pure_states_at_tiny_rates(vector):
+    # Every detector has confidence q_1 = 0.3. rho is rank one, so off its
+    # support an element changes no rate or value, and there it would only
+    # add rounding, which c_1 = q_1 / eta1 magnifies past the bracket.
+    state = pure_state(vector)
+    e = Ensemble(((0.3, state), (0.7, state)))
+    for eta in (1e-12, 1e-11, 1e-10, 1e-9):
+        cert = certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta))
+        assert cert.lower == pytest.approx(0.3, abs=1e-12), eta
+        assert cert.upper >= 0.3 - 1e-10, eta
+
+
+def test_general_pure_pairs_at_tiny_rates_in_d3_and_d4():
+    # rho has rank 2, so the certified value is the qubit closed form on the
+    # span of the two states. At eta1 = 1e-8 the Schur complement is so
+    # ill-conditioned that the order of its products decides whether the
+    # solve converges.
+    rng = np.random.default_rng(5)
+    widths = []
+    for dim in (3, 4) * 5:
+        vs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2)]
+        vs = [v / np.linalg.norm(v) for v in vs]
+        q = float(rng.uniform(0.2, 0.8))
+        span, _ = np.linalg.qr(np.stack(vs, axis=1))
+        pair = [(q, vs[0]), (1.0 - q, vs[1])]
+        e = Ensemble(tuple((p, pure_state(v)) for p, v in pair))
+        value = certify_qubit_ensemble(
+            Ensemble(tuple((p, pure_state(span.conj().T @ v)) for p, v in pair)), 1e-8
+        ).value
+        cert = certify_general(e, WeightVector((1.0,)), OutcomeRates((1e-8,), 1.0 - 1e-8))
+        assert cert.lower - 1e-9 <= value <= cert.upper + 1e-9
+        widths.append(cert.upper - cert.lower)
+    assert np.median(widths) < 1e-3, widths
 
 
 def test_qubit_ensemble_ball_when_average_is_maximally_mixed():

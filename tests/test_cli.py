@@ -16,7 +16,6 @@ from mcdisc import cli
 from mcdisc.certify import certify_qubit_ensemble
 from mcdisc.cli import main
 from mcdisc.ensembles import (
-    DensityMatrix,
     Ensemble,
     PairSpec,
     ensemble_to_json,
@@ -224,17 +223,9 @@ def test_certify_general_route(tmp_path, capsys):
     assert "dual" in doc and "povm" in doc
 
 
-def test_certify_general_route_tiny_rate_is_quiet(tmp_path, capsys):
-    # Draw 165 of default_rng(2024), a rank-1 and a rank-2 qubit state, on
-    # which the solver once divided by mu = 0 and printed numpy warnings.
-    rng = np.random.default_rng(2024)
-    for _ in range(166):
-        states = []
-        for rank in (1, 2):
-            w = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
-            m = w @ w.conj().T
-            states.append(DensityMatrix(m / np.real(np.trace(m))))
-    e = Ensemble(((0.5, states[0]), (0.5, states[1])))
+def test_certify_general_route_tiny_rate_is_quiet(tmp_path, capsys, tiny_rate_pair):
+    # The solver once divided by mu = 0 on this pair and printed numpy warnings.
+    e = tiny_rate_pair
     path = tmp_path / "pair.json"
     path.write_text(ensemble_to_json(e))
     code, out, err = run_cli(capsys, ["certify", "--ensemble", str(path), "--rates", "1e-9"])
