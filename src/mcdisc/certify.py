@@ -10,10 +10,11 @@ solution in three branches split at (1 -/+ (1-p)^2 c)/2: below, the rate
 deficit is free and the unconstrained maximum-confidence value is
 certified; in the middle, a sharp rank-one detector is forced; above,
 only rank-two detectors (a multiple of the identity plus a projector)
-reach the rate. certify_qubit builds the optimal detector and a matching
-dual certificate with zero duality gap; certify_qubit_curve evaluates the
-same closed form over an array of rates and checks each certificate in
-Bloch form, for sweeps. certify_qubit_ensemble does the
+reach the rate. One array function (_certified_qubit) evaluates that
+closed form and checks the optimal detector and its zero-gap dual
+certificate in Bloch scalars read from (c, p): certify_qubit runs it at
+one rate and builds the matrices, certify_qubit_curve runs it over a
+whole array of rates for sweeps. certify_qubit_ensemble does the
 same for one detector on any qubit ensemble (any priors, any number of
 members, mixed states), where the constraints 0 <= M <= I are two
 spheroids in the Bloch ball and the optimum is one of three closed-form
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmath
-from .ensembles import Ensemble, average_state, canonical_pair_matrices, in_unit_interval
+from .ensembles import Ensemble, average_state, in_unit_interval
 from .errors import (
     DegenerateEnsembleError,
     DimensionMismatchError,
@@ -74,8 +75,6 @@ KKT_TOL = 1e-9
 CERT_RATE_TOL = 1e-10    # rate deviation an analytic certificate may show
 CERT_VALUE_TOL = 1e-9    # value and gap deviation, relative to max(1, c_1) for ensembles
 CERT_ACTIVE_TOL = 1e-14  # constraint value below which a qubit candidate counts as feasible
-QUBIT_RECHECK_RATE = 1e-6  # certify_qubit_curve runs certify_qubit itself below this rate
-QUBIT_RECHECK_SHARE = 1.0 / 16.0  # ... and where a Bloch residual exceeds this share of its bound
 QUBIT_CURVE_BLOCK = 2048   # rates certify_qubit_curve evaluates at a time
 
 
@@ -217,6 +216,9 @@ def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
     canonical pair; certify_qubit_ensemble takes any qubit ensemble, and
     certify_qubit_curve evaluates a whole eta1 grid in one pass.
 
+    The POVM and dual are built from _certified_qubit's checked Bloch
+    scalars at this one rate.
+
     Parameters
     ----------
     c : float
@@ -240,85 +242,47 @@ def certify_qubit(c: float, p: float, eta1: float) -> CertReport:
     OutOfRangeError
         For inputs outside the analytic path's domain.
     NumericalError
-        When the closed forms lose the precision their consistency checks
-        demand (at c within 1e-12 of 1, say) or overflow (eta1 < 5.6e-309).
+        When the closed form loses the precision its consistency check
+        demands (at c within 1e-9 of 1 with eta1 near 1e-12, say) or
+        overflows (eta1 < 5.6e-309).
     """
-    _check_qubit_pair(c, p)
-    if not (0.0 < eta1 <= 1.0):
-        raise OutOfRangeError(f"rate eta1={eta1} outside (0, 1]")
-    opt = _qubit_closed_form(c, p, eta1)
-    branch, value, lam = BRANCHES[opt.branch], float(opt.value), float(opt.lam)
-    if not math.isfinite(lam):                  # grows like 1/eta1 as eta1 -> 0
-        raise NumericalError(f"rate eta1={eta1} too small: the rate multiplier overflows")
-    rho1, _, rho = canonical_pair_matrices(c, p)
-    slack = lam * rho - rho1 / (2.0 * eta1)     # equals X1 - X2 at the optimum
-    values, vectors = qmath.eig_hermitian(slack)
-    low_vec = vectors[:, 0]
-    proj = np.outer(low_vec, low_vec.conj())
-    X1 = max(float(values[1]), 0.0) * np.outer(vectors[:, 1], vectors[:, 1].conj())
-    X2 = max(-float(values[0]), 0.0) * proj
-
-    eye = np.eye(2, dtype=complex)
-    if branch == "LowRate":
-        m1 = float(opt.weight) * proj
-    elif branch == "Sharp":
-        m1 = proj
-    else:
-        m1 = float(opt.shift) * eye + float(opt.weight) * proj
-    povm = Povm((m1,), qmath.psd_floor(eye - m1, 0.0))
-
-    rate = float(np.real(np.trace(m1 @ rho)))
-    primal = float(np.real(np.trace(m1 @ rho1))) / (2.0 * eta1)
-    dual_obj = lam * eta1 + float(np.real(np.trace(X2)))
-    _check_consistency(rate - eta1, primal - value, dual_obj - primal, 1.0)
-    gap = max(dual_obj - primal, 0.0)
-    dual = DualCertificate.from_qubit(lam, X1, X2)
-    return CertReport(value, branch, povm, dual, gap)
+    opt, bloch = _certified_qubit(c, p, np.array([eta1], dtype=float))
+    t, w, unit_x, unit_z, x1, x2, gap = (float(v[0]) for v in bloch)
+    unit = np.array([unit_x, 0.0, unit_z])
+    povm = Povm((qmath.bloch_op(t, -w * unit),), qmath.bloch_op(1.0 - t, w * unit))
+    X1 = qmath.bloch_op(x1 / 2.0, (x1 / 2.0) * unit)
+    X2 = qmath.bloch_op(x2 / 2.0, (-x2 / 2.0) * unit)
+    dual = DualCertificate.from_qubit(float(opt.lam[0]), X1, X2)
+    return CertReport(float(opt.value[0]), BRANCHES[int(opt.branch[0])], povm, dual, gap)
 
 
 def certify_qubit_curve(c: float, p: float, eta1: np.ndarray) -> tuple:
     """certify_qubit's value and branch index (into BRANCHES) at every rate
     of an eta1 array, in one array pass with no matrices.
 
-    Each rate's certificate is checked in Bloch form: with
-    slack = lam rho - rho1/(2 eta1) = a0 I + a.sigma, the detector is
-    M1 = shift I + weight (I - a.sigma/|a|)/2, and its PSD and completeness
-    bounds, rate, value and duality gap are certify_qubit's checks. Rates
-    where one of them exceeds QUBIT_RECHECK_SHARE of its bound, rates
-    outside (0, 1], and rates below QUBIT_RECHECK_RATE are run through
-    certify_qubit itself, in eta1 order, so the first one it rejects raises
-    certify_qubit's own error. Rounding decides both forms of the residuals
-    below about 1e-7 and near c = 1, and there they can disagree: on
-    80 000 random inputs (eta1 >= 1e-6, half with c within 0.1 of 1),
-    certificates certify_qubit rejected had Bloch residuals down to 0.26
-    of the bound.
-
-    The rates are taken QUBIT_CURVE_BLOCK at a time, so the temporary
-    arrays stay small however long the grid is.
-
-    Raises the errors of certify_qubit.
+    Every rate goes through certify_qubit's closed form and certificate
+    check (_certified_qubit), so each value equals certify_qubit's bit for
+    bit, and the sweep raises certify_qubit's error for its first rejected
+    rate in array order. The rates are taken QUBIT_CURVE_BLOCK at a time,
+    so the temporary arrays stay small however long the grid is.
     """
     _check_qubit_pair(c, p)
     eta1 = np.asarray(eta1, dtype=float)
     value, branch = np.empty(eta1.shape), np.empty(eta1.shape, dtype=int)
     for start in range(0, eta1.size, QUBIT_CURVE_BLOCK):
-        rates = eta1[start:start + QUBIT_CURVE_BLOCK]
-        inside = (0.0 < rates) & (rates <= 1.0)
-        opt = _qubit_closed_form(c, p, np.where(inside, rates, 1.0))
-        recheck = ~inside | (rates < QUBIT_RECHECK_RATE) | ~_bloch_consistent(c, p, rates, opt)
-        for rate in rates[recheck].tolist():
-            certify_qubit(c, p, rate)
+        opt, _ = _certified_qubit(c, p, eta1[start:start + QUBIT_CURVE_BLOCK])
         value[start:start + QUBIT_CURVE_BLOCK] = opt.value
         branch[start:start + QUBIT_CURVE_BLOCK] = opt.branch
     return value, branch
 
 
 class _QubitOptimum(NamedTuple):
-    """certify_qubit's optimum at one rate or at each rate of an array.
+    """certify_qubit's optimum at each rate of an array.
 
     branch indexes BRANCHES, lam is the rate multiplier of the dual, and the
     detector is M1 = shift I + weight P, with P the projector onto the low
-    eigenvector of lam rho - rho1/(2 eta1).
+    eigenvector of lam rho - rho1/(2 eta1). gamma fixes that eigenvector:
+    the slack's Bloch vector is along (-1, 0, gamma).
     """
 
     branch: np.ndarray
@@ -326,6 +290,7 @@ class _QubitOptimum(NamedTuple):
     lam: np.ndarray
     shift: np.ndarray
     weight: np.ndarray
+    gamma: np.ndarray
 
 
 def _check_qubit_pair(c: float, p: float):
@@ -337,9 +302,9 @@ def _check_qubit_pair(c: float, p: float):
         raise OutOfRangeError(f"noise p={p} outside [0, 1)")
 
 
-def _qubit_closed_form(c: float, p: float, eta1) -> _QubitOptimum:
-    """The three-branch closed form of certify_qubit at eta1, a rate or an
-    array of rates in (0, 1] (see ncmodel._rate_branches)."""
+def _qubit_closed_form(c: float, p: float, eta1: np.ndarray) -> _QubitOptimum:
+    """The three-branch closed form of certify_qubit at an array of rates in
+    (0, 1] (see ncmodel._rate_branches)."""
     cos_t = math.sqrt(c)
     sin_t = math.sqrt(1.0 - c)
     tan_t = sin_t / cos_t
@@ -364,46 +329,71 @@ def _qubit_closed_form(c: float, p: float, eta1) -> _QubitOptimum:
     ))
     with np.errstate(over="ignore"):
         lam = (1.0 + gamma * tan_t) / (2.0 * eta1)
-    return _QubitOptimum(branch, value, lam, shift, weight)
+    return _QubitOptimum(branch, value, lam, shift, weight, gamma)
 
 
-def _bloch_consistent(c: float, p: float, eta1: np.ndarray, opt: _QubitOptimum) -> np.ndarray:
-    """Whether certify_qubit's POVM and consistency checks pass at each rate,
-    evaluated in Bloch form (see certify_qubit_curve).
+def _certified_qubit(c: float, p: float, eta1: np.ndarray) -> tuple:
+    """certify_qubit's optimum at each rate of a 1-d array, with its
+    certificate checked, as (_QubitOptimum, (t, w, unit_x, unit_z, x1, x2,
+    gap)); raises the error of the first rejected rate.
 
-    The pair enters through the Bloch components of the same matrices
-    certify_qubit builds, not through (c, p): near c = 1 their rounding
-    alone can break the consistency check. The matrices are real, so the y
-    components are 0.
+    The pair enters through (c, p) alone: rho = (I + k sigma_z)/2 and
+    rho1 = (I + g sigma_x + k sigma_z)/2 with k = (1-p) sqrt(c) and
+    g = (1-p) sqrt(1-c). The slack lam rho - rho1/(2 eta1) is
+    a0 I + a.sigma with a0 = gamma tan(theta)/(4 eta1) and
+    a = g (-1, 0, gamma)/(4 eta1). With u = a/|a| = (unit_x, 0, unit_z),
+    M1 = t I - w u.sigma (t = shift + weight/2, w = weight/2), and the dual
+    slacks are X1 = (x1/2)(I + u.sigma) and X2 = K = (x2/2)(I - u.sigma)
+    with x1 = |a| + a0 and x2 = |a| - a0, floored at 0. On LowRate
+    M1 <= I is inactive and x2 = 0 exactly; the formula would give only
+    the rounding of two O(1/eta1) terms.
+
+    Per rate, in this order: eta1 in (0, 1], lam finite, M1's eigenvalues
+    t - w >= qmath.PSD_TOL and t + w <= 1 + COMPLETENESS_TOL, then
+    _check_consistency, all absolute.
     """
-    rho1, _, rho = canonical_pair_matrices(c, p)
-    (r0, rx, _, rz), (s0, sx, _, sz) = (
-        (float(np.trace(m).real) / 2.0, *qmath.bloch_vector(m).tolist()) for m in (rho, rho1)
-    )
+    _check_qubit_pair(c, p)
+    inside = (0.0 < eta1) & (eta1 <= 1.0)
+    opt = _qubit_closed_form(c, p, np.where(inside, eta1, 1.0))
+    k, g = (1.0 - p) * math.sqrt(c), (1.0 - p) * math.sqrt(1.0 - c)
+    tan_t = math.sqrt(1.0 - c) / math.sqrt(c)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # slack = lam rho - rho1/(2 eta1) = a0 I + a.sigma; its low eigenvector
-        # gives M1 = shift I + weight (I - a.sigma/|a|)/2 = t I - w a.sigma/|a|.
-        half_rate = 1.0 / (2.0 * eta1)
-        a0 = opt.lam * r0 - s0 * half_rate
-        ax, az = opt.lam * rx - sx * half_rate, opt.lam * rz - sz * half_rate
-        size = np.hypot(ax, az)
+        norm = np.hypot(1.0, opt.gamma)
+        unit_x, unit_z = -1.0 / norm, opt.gamma / norm
+        x1 = np.maximum(g * norm + opt.gamma * tan_t, 0.0) / (4.0 * eta1)
+        x2 = np.maximum(g * norm - opt.gamma * tan_t, 0.0) / (4.0 * eta1)
+        x2[opt.branch == 0] = 0.0
         t, w = opt.shift + opt.weight / 2.0, opt.weight / 2.0
-        rate = 2.0 * (t * r0 - w * (rx * ax + rz * az) / size)
-        primal = 2.0 * (t * s0 - w * (sx * ax + sz * az) / size) * half_rate
-        dual_obj = opt.lam * eta1 + np.maximum(size - a0, 0.0)
-    share = QUBIT_RECHECK_SHARE
-    return ((t - w >= share * qmath.PSD_TOL) & (t + w - 1.0 <= share * COMPLETENESS_TOL)
-            & (np.abs(rate - eta1) <= share * CERT_RATE_TOL)
-            & (np.abs(primal - opt.value) <= share * CERT_VALUE_TOL)
-            & (np.abs(dual_obj - primal) <= share * CERT_VALUE_TOL))
+        rate = t - w * k * unit_z
+        primal = (t - w * (g * unit_x + k * unit_z)) / (2.0 * eta1)
+        gap = opt.lam * eta1 + x2 - primal
+        psd = (t - w >= qmath.PSD_TOL) & (t + w - 1.0 <= COMPLETENESS_TOL)
+        ok = inside & np.isfinite(opt.lam) & psd & _consistent(rate - eta1, primal - opt.value, gap)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        rate_i = float(eta1[i])
+        if not inside[i]:
+            raise OutOfRangeError(f"rate eta1={rate_i} outside (0, 1]")
+        if not np.isfinite(opt.lam[i]):         # lam grows like 1/eta1 as eta1 -> 0
+            raise NumericalError(f"rate eta1={rate_i} too small: the rate multiplier overflows")
+        if not psd[i]:
+            raise OutOfRangeError(f"detector eigenvalues {t[i] - w[i]:.3e}, {t[i] + w[i]:.3e} "
+                                  "outside [0, 1]")
+        _check_consistency(float(rate[i] - rate_i), float(primal[i] - opt.value[i]), float(gap[i]))
+    return opt, (t, w, unit_x, unit_z, x1, x2, np.maximum(gap, 0.0))
 
 
-def _check_consistency(rate_dev: float, value_dev: float, gap: float, scale: float):
-    """Raise NumericalError unless an analytic certificate hits its rate and
-    value and closes its duality gap. The rate is judged absolutely, value
-    and gap relative to scale (1 keeps them absolute)."""
-    if (abs(rate_dev) > CERT_RATE_TOL or abs(value_dev) > CERT_VALUE_TOL * scale
-            or abs(gap) > CERT_VALUE_TOL * scale):
+def _consistent(rate_dev, value_dev, gap, scale: float = 1.0):
+    """Whether an analytic certificate hits its rate and value and closes its
+    duality gap, elementwise for arrays (nan fails). The rate is judged
+    absolutely, value and gap relative to scale (1 keeps them absolute)."""
+    return ((np.abs(rate_dev) <= CERT_RATE_TOL) & (np.abs(value_dev) <= CERT_VALUE_TOL * scale)
+            & (np.abs(gap) <= CERT_VALUE_TOL * scale))
+
+
+def _check_consistency(rate_dev: float, value_dev: float, gap: float, scale: float = 1.0):
+    """Raise NumericalError unless the certificate is _consistent."""
+    if not _consistent(rate_dev, value_dev, gap, scale):
         raise NumericalError(
             f"analytic certification lost consistency: rate dev {rate_dev:.2e}, "
             f"value dev {value_dev:.2e}, gap {gap:.2e}"

@@ -29,7 +29,6 @@ __all__ = [
     "pure_state",
     "make_pure_pair",
     "make_noisy_pair",
-    "canonical_pair_matrices",
     "depolarize",
     "confusability",
     "average_state",
@@ -155,12 +154,16 @@ class PairSpec:
         return math.acos(math.sqrt(self.c))
 
 
-def _canonical_vectors(theta: float) -> tuple:
-    """cos(theta/2)|0> +/- sin(theta/2)|1>."""
-    half = theta / 2.0
+def _canonical_vectors(c: float) -> tuple:
+    """cos(theta/2)|0> +/- sin(theta/2)|1> with cos(theta) = sqrt(c), from
+    cos(theta/2) = sqrt((1 + sqrt(c))/2) and
+    sin(theta/2) = sqrt((1 - c)/(2 (1 + sqrt(c)))), which keep their
+    precision as c -> 1 (acos(sqrt(c)) does not)."""
+    plus = 1.0 + math.sqrt(c)
+    cos_h, sin_h = math.sqrt(plus / 2.0), math.sqrt((1.0 - c) / (2.0 * plus))
     return (
-        np.array([math.cos(half), math.sin(half)], dtype=complex),
-        np.array([math.cos(half), -math.sin(half)], dtype=complex),
+        np.array([cos_h, sin_h], dtype=complex),
+        np.array([cos_h, -sin_h], dtype=complex),
     )
 
 
@@ -172,7 +175,7 @@ def make_pure_pair(spec: PairSpec) -> Ensemble:
     """
     if spec.p != 0.0:
         raise InvalidSpecError("make_pure_pair requires p=0; use make_noisy_pair for p>0")
-    psi1, psi2 = _canonical_vectors(spec.theta)
+    psi1, psi2 = _canonical_vectors(spec.c)
     q1, q2 = spec.priors
     return Ensemble(((q1, pure_state(psi1)), (q2, pure_state(psi2))))
 
@@ -194,14 +197,6 @@ def make_noisy_pair(spec: PairSpec) -> Ensemble:
     """Depolarized canonical pair: convenience for the common construction."""
     pure = make_pure_pair(PairSpec(spec.c, 0.0, spec.priors))
     return depolarize(pure, spec.p)
-
-
-def canonical_pair_matrices(c: float, p: float) -> tuple:
-    """Depolarized canonical rho1, rho2 and their average, as unchecked arrays."""
-    eye = np.eye(2, dtype=complex)
-    psis = _canonical_vectors(PairSpec(c, p).theta)
-    rho1, rho2 = ((1.0 - p) * np.outer(psi, psi.conj()) + p * eye / 2.0 for psi in psis)
-    return rho1, rho2, (rho1 + rho2) / 2.0
 
 
 def confusability(s1: DensityMatrix, s2: DensityMatrix) -> float:

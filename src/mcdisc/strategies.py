@@ -200,9 +200,8 @@ def helstrom(e: Ensemble) -> BoundResult:
 def helstrom_pair(c, p):
     """Helstrom value 1/2 + (1-p) sqrt(1-c)/2 of the equal-prior depolarized
     canonical pair, for numbers or arrays. helstrom computes it from the
-    pair's matrices, which carry the rounding of theta = acos(sqrt(c)), so
-    the two differ by up to about eps/sqrt(1 - c) (eps the double-precision
-    epsilon); this closed form is the accurate one."""
+    eigenvalues of the pair's matrices, whose rounding can move the last
+    bits; this closed form is the accurate one."""
     return 0.5 * (1.0 + (1.0 - p) * np.sqrt(1.0 - c))
 
 

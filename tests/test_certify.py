@@ -3,6 +3,8 @@ SDP bracketing, and the quantum/noncontextual gap relation."""
 import dataclasses
 import itertools
 import math
+import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from mcdisc.certify import (
     _certify_general_batch,
     certify_general,
     certify_qubit,
+    certify_qubit_curve,
     certify_qubit_ensemble,
     delta_gap,
     verify_kkt,
@@ -216,6 +219,45 @@ def test_overflowing_rate_raises_numerical_error(eta):
     unequal = make_noisy_pair(PairSpec(0.5, 0.2, priors=(0.3, 0.7)))
     with pytest.raises(NumericalError, match="too small"):
         certify_qubit_ensemble(unequal, eta)
+
+
+def exact_certified(c, p, eta1):
+    """certify_qubit's three-branch value, in 50-digit decimal arithmetic at
+    the double inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c, p, eta1 = (Decimal(x) for x in (c, p, eta1))
+        kk = (1 - p) ** 2 * c
+        amp = (1 - p) * (1 - c).sqrt() / (1 - kk).sqrt()
+        if eta1 <= (1 - kk) / 2:
+            return float((1 + amp) / 2)
+        if eta1 <= (1 + kk) / 2:
+            root = (kk - (1 - 2 * eta1) ** 2).sqrt()
+            return float(Decimal("0.5") + ((1 - c) / c).sqrt() * root / (4 * eta1))
+        return float((1 + amp * (1 / eta1 - 1)) / 2)
+
+
+EDGE_RATES = (1e-12, 1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-12, 0.5, 1.0 - 1e-6, 1.0 - 1e-12])
+@pytest.mark.parametrize("c", [1e-13, 1e-12, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 1e-12])
+def test_certify_qubit_on_the_edge_grid(c, p):
+    # Every edge input certifies within 1e-12 of the exact value, and the
+    # curve agrees bit for bit, except at eta1 = 1e-12 with c near 1 and
+    # p near 0. There the closed form itself cancels (k^2 - (1 - 2 eta1)^2
+    # or 1 - k^2, both near 1e-12) and is off by more than the check allows.
+    lost = c > 0.9 and p < 1e-6
+    rates = EDGE_RATES[1:] if lost else EDGE_RATES
+    values = [certify_qubit(c, p, eta1).value for eta1 in rates]
+    for eta1, value in zip(rates, values):
+        assert value == pytest.approx(exact_certified(c, p, eta1), rel=1e-12, abs=0.0)
+    assert certify_qubit_curve(c, p, np.array(rates))[0].tolist() == values
+    if lost:
+        with pytest.raises(NumericalError) as point:
+            certify_qubit(c, p, EDGE_RATES[0])
+        with pytest.raises(NumericalError, match=f"^{re.escape(str(point.value))}$"):
+            certify_qubit_curve(c, p, np.array(EDGE_RATES))
 
 
 # --- optimality-system verification --------------------------------------------
@@ -658,13 +700,12 @@ def test_qubit_ensemble_fully_mixed_pair_certifies_prior():
 
 
 def test_qubit_ensemble_rare_clicks_keep_consistency():
-    # certify_qubit loses its dual consistency at these rates; the LowRate
-    # value does not depend on eta1.
+    # Both routes certify at these rates; the LowRate value does not depend
+    # on eta1.
     e = make_noisy_pair(PairSpec(0.5, 0.2))
     low = certify_qubit(0.5, 0.2, 1e-3).value
     for eta in (1e-10, 3e-12):
-        with pytest.raises(NumericalError):
-            certify_qubit(0.5, 0.2, eta)
+        assert certify_qubit(0.5, 0.2, eta).value == low
         report = certify_qubit_ensemble(e, eta)
         assert report.branch == "LowRate"
         assert report.value == pytest.approx(low, abs=1e-15)

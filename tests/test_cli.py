@@ -251,7 +251,27 @@ def test_certify_infeasible_rates_exit_code(tmp_path, capsys):
     assert "infeasible" in err
 
 
-@pytest.mark.parametrize("c,eta1", [("0.999999999999", "0.25"), ("0.5", "1e-12")])
+NEAR_ONE = ["--c", "0.999999999999", "--p", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", *NEAR_ONE, "--eta1", "0.25"],
+        ["certify", *NEAR_ONE, "--sweep", "eta1:0.01:1:100"],
+        ["verify", "--mode", "kkt", *NEAR_ONE, "--eta1", "0.25"],
+    ],
+)
+def test_certify_near_full_confusability(capsys, argv):
+    # c within 1e-12 of 1: the canonical pair keeps its overlap and the
+    # certificate its consistency.
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    if argv[0] == "verify":
+        assert "kkt ok (branch Sharp)" in out
+
+
+@pytest.mark.parametrize("c,eta1", [("0.999999999999", "1e-12"), ("0.999999999", "1e-12")])
 def test_certify_lost_precision_exits_two(capsys, c, eta1):
     code, out, err = run_cli(capsys, ["certify", "--c", c, "--p", "0", "--eta1", eta1])
     assert code == 2 and out == ""
@@ -261,11 +281,11 @@ def test_certify_lost_precision_exits_two(capsys, c, eta1):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # Row 0 passes; row 1 (eta1 = 0.6) loses consistency.
-        (["certify", "--c", "0.999999999999", "--p", "0", "--sweep", "eta1:0.5:0.9:5"],
-         "error: analytic certification lost consistency: rate dev -5.33e-06, "
-         "value dev -4.44e-06, gap 4.44e-06\n"),
-        (["certify", "--c", "0.5", "--p", "0", "--sweep", "eta1:1e-12:1:5"],
+        # Row 0 (eta1 = 1e-12) loses consistency.
+        (["certify", "--c", "0.999999999999", "--p", "0", "--sweep", "eta1:1e-12:0.9:5"],
+         "error: analytic certification lost consistency: rate dev -2.21e-17, "
+         "value dev -1.92e-05, gap 3.36e-05\n"),
+        (["certify", "--c", "0.999999999", "--p", "0", "--sweep", "eta1:1e-12:1:5"],
          "error: analytic certification lost consistency: "),
     ],
 )
@@ -277,6 +297,8 @@ def test_certify_sweep_lost_precision_exits_two(tmp_path, capsys, argv, message)
     assert code == 2 and out == ""
     assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
     assert not target.exists()
+    point = run_cli(capsys, ["certify", *argv[1:5], "--eta1", "1e-12"])
+    assert point == (2, "", err)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcdisc.certify import certify_qubit, certify_qubit_curve
@@ -47,6 +47,7 @@ def first_error(points):
 
 @settings(max_examples=150, deadline=None)
 @given(c=open_unit, p=st.floats(0.0, 1.0, exclude_max=True), extra=rates)
+@example(c=0.9999999999999998, p=0.9921875, extra=[0.5])
 def test_certify_curve_matches_per_point_calls(c, p, extra):
     grid = np.array(sorted({x for x in branch_edges(c, p) + extra if 0.0 < x <= 1.0}))
     error = first_error([lambda x=x: certify_qubit(c, p, x) for x in grid.tolist()])
@@ -90,8 +91,9 @@ def test_bound_curves_match_per_point_calls(task, fixed, grid, over_c):
         c, p = (x, fixed) if over_c else (fixed, x)
         assert nc[i] == to_nc(c, p)
         if task == "med":
-            # helstrom builds the pair from theta = acos(sqrt(c)), whose
-            # rounding moves its value by up to about eps/sqrt(1 - c).
+            # helstrom takes the eigenvalues of the built pair's matrices,
+            # whose rounding can move its last bits; this bound allows for
+            # the eps/sqrt(1 - c) that a pair built from acos(sqrt(c)) shows.
             tol = 4.0 * EPS * (1.0 + 1.0 / math.sqrt(max(1.0 - c, EPS * EPS)))
             assert abs(quantum[i] - to_quantum(c, p)) <= tol
         else:

@@ -1,4 +1,6 @@
 """Ensemble construction, depolarizing noise, and the canonical pair family."""
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ def test_pure_pair_half_confusability_matches_plus_state_overlap():
     # Same statistics as the |0>, |+> pair: squared overlap exactly 1/2.
     e = make_pure_pair(PairSpec(0.5))
     assert overlap(e) == pytest.approx(0.5, abs=1e-14)
+
+
+def test_pure_pair_keeps_its_overlap_near_one():
+    # <1|rho1|1> = sin^2(theta/2) = (1 - sqrt(c))/2, which acos(sqrt(c))
+    # misses by 1.1e-4 relative at this c.
+    c = 0.999999999999
+    rho1 = make_pure_pair(PairSpec(c)).states[0].matrix
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = (1 - Decimal(c).sqrt()) / 2
+        assert abs(Decimal(rho1[1, 1].real) / exact - 1) <= Decimal("1e-15")
 
 
 def test_confusability_round_trip_random():
