@@ -10,27 +10,17 @@ solution in three branches split at (1 -/+ (1-p)^2 c)/2: below, the rate
 deficit is free and the unconstrained maximum-confidence value is
 certified; in the middle, a sharp rank-one detector is forced; above,
 only rank-two detectors (a multiple of the identity plus a projector)
-reach the rate. One array function (_certified_qubit) evaluates that
-closed form and checks the optimal detector and its zero-gap dual
-certificate in Bloch scalars read from (c, p): certify_qubit runs it at
-one rate and builds the matrices, certify_qubit_curve runs it over a
-whole array of rates for sweeps. certify_qubit_ensemble does the
-same for one detector on any qubit ensemble (any priors, any number of
-members, mixed states), where the constraints 0 <= M <= I are two
-spheroids in the Bloch ball and the optimum is one of three closed-form
-candidates. verify_kkt checks the full optimality system of any (primal,
-dual) pair, and certify_general brackets the value for arbitrary small
-ensembles (dimension 2 to 4, any number of detectors) by one primal-dual
-interior-point solve of the certification SDP, whose primal and dual ends
-are then repaired to exact feasibility. The solver (_sdp_solve) takes a
-leading instance axis: k problems that share their constraint matrices,
-each stopping on its own, with the Schur complement formed by stacked
-matrix products; certify_general is its one-instance case. Where the
-average state rho is rank-deficient, both repaired ends are first
-compressed to its support.
-The tally route (simulator.certify_from_tally) picks by dimension: qubit
-ensembles take certify_qubit_ensemble, all others certify_general's
-bracket, with the three rate probes solved in one batch.
+reach the rate. _certified_qubit evaluates and checks that closed form
+over an array of rates (certify_qubit_curve; certify_qubit at one rate).
+
+Every other problem with one weighted detector, at any dimension, is
+solved exactly by _single_detector over an array of rates, by a search
+over one scalar structured by the generalised eigenvalues of
+(q_y rho_y, rho): certify_qubit_ensemble, certify_general with one
+nonzero weight and the tally route (simulator.certify_from_tally). With
+two or more weighted detectors certify_general brackets the value by an
+interior-point solve of the certification SDP (_sdp_solve). verify_kkt
+checks the optimality system of any (primal, dual) pair.
 """
 from __future__ import annotations
 
@@ -73,8 +63,7 @@ __all__ = [
 RATE_SUM_TOL = 1e-9
 KKT_TOL = 1e-9
 CERT_RATE_TOL = 1e-10    # rate deviation an analytic certificate may show
-CERT_VALUE_TOL = 1e-9    # value and gap deviation, relative to max(1, c_1) for ensembles
-CERT_ACTIVE_TOL = 1e-14  # constraint value below which a qubit candidate counts as feasible
+CERT_VALUE_TOL = 1e-9    # value and gap deviation an analytic certificate may show
 QUBIT_CURVE_BLOCK = 2048   # rates certify_qubit_curve evaluates at a time
 
 
@@ -190,11 +179,11 @@ class CertReport:
 
 @dataclass(frozen=True, eq=False)
 class GeneralCertificate:
-    """Bracket of a certified value from one SDP solve.
+    """Bracket of a certified value.
 
     lower is the value an exactly feasible POVM (povm) achieves; upper is the
     objective of an exactly feasible dual point (dual). Both are sound, and
-    their difference is the solver's remaining duality gap.
+    their difference is the remaining duality gap.
     """
 
     lower: float
@@ -350,7 +339,7 @@ def _certified_qubit(c: float, p: float, eta1: np.ndarray) -> tuple:
 
     Per rate, in this order: eta1 in (0, 1], lam finite, M1's eigenvalues
     t - w >= qmath.PSD_TOL and t + w <= 1 + COMPLETENESS_TOL, then
-    _check_consistency, all absolute.
+    _consistent, all absolute.
     """
     _check_qubit_pair(c, p)
     inside = (0.0 < eta1) & (eta1 <= 1.0)
@@ -379,163 +368,189 @@ def _certified_qubit(c: float, p: float, eta1: np.ndarray) -> tuple:
         if not psd[i]:
             raise OutOfRangeError(f"detector eigenvalues {t[i] - w[i]:.3e}, {t[i] + w[i]:.3e} "
                                   "outside [0, 1]")
-        _check_consistency(float(rate[i] - rate_i), float(primal[i] - opt.value[i]), float(gap[i]))
+        raise NumericalError(f"analytic certification lost consistency: rate dev {rate[i] - rate_i:.2e}, "
+                             f"value dev {primal[i] - opt.value[i]:.2e}, gap {gap[i]:.2e}")
     return opt, (t, w, unit_x, unit_z, x1, x2, np.maximum(gap, 0.0))
 
 
-def _consistent(rate_dev, value_dev, gap, scale: float = 1.0):
+def _consistent(rate_dev, value_dev, gap):
     """Whether an analytic certificate hits its rate and value and closes its
-    duality gap, elementwise for arrays (nan fails). The rate is judged
-    absolutely, value and gap relative to scale (1 keeps them absolute)."""
-    return ((np.abs(rate_dev) <= CERT_RATE_TOL) & (np.abs(value_dev) <= CERT_VALUE_TOL * scale)
-            & (np.abs(gap) <= CERT_VALUE_TOL * scale))
+    duality gap, absolutely and elementwise (nan fails)."""
+    return ((np.abs(rate_dev) <= CERT_RATE_TOL) & (np.abs(value_dev) <= CERT_VALUE_TOL)
+            & (np.abs(gap) <= CERT_VALUE_TOL))
 
 
-def _check_consistency(rate_dev: float, value_dev: float, gap: float, scale: float = 1.0):
-    """Raise NumericalError unless the certificate is _consistent."""
-    if not _consistent(rate_dev, value_dev, gap, scale):
-        raise NumericalError(
-            f"analytic certification lost consistency: rate dev {rate_dev:.2e}, "
-            f"value dev {value_dev:.2e}, gap {gap:.2e}"
-        )
-
-
-def _spheroid_max(g: np.ndarray, a: np.ndarray, flat: float):
-    """Largest g.v over |v| + a.v <= 1, for flat = 1 - |a|^2 >= 0, as
-    (lam, u, root).
-
-    lam is the maximum: the smallest lam >= 0 with |g - lam a| <= lam. The
-    maximiser is along the unit vector u = (g - lam a)/lam, and over
-    |v| + a.v <= h it is v = h lam u / root, where
-    root = sqrt((g.a)^2 + |g|^2 flat). Returns None where the spheroid is
-    unbounded along g (flat = 0 and g.a <= 0).
-    """
-    ga, gg = float(g @ a), float(g @ g)
-    root = math.sqrt(ga * ga + gg * flat)
-    if root == 0.0 or (ga < 0.0 and flat == 0.0):
-        return None
-    # Of the two forms of the positive root, take the one without cancellation.
-    lam = gg / (ga + root) if ga >= 0.0 else (root - ga) / flat
-    return lam, (g - lam * a) / lam, root
-
+# ---------------------------------------------------------------------------
+# Exact certification of one weighted detector, any dimension
+# ---------------------------------------------------------------------------
 
 def certify_qubit_ensemble(e: Ensemble, eta1: float) -> CertReport:
     """Certified maximum confidence of a single detector for member 1 of any
-    qubit ensemble (any priors, any number of members, mixed states), in
-    closed form.
+    qubit ensemble (any priors and members, mixed states): _single_detector's
+    dual objective. The branch names the piece of the rate axis, so that
+    the boundaries fall as in certify_qubit: jump 0 is LowRate, the stretch
+    Sharp (its right end included), jump 1 HighRate; with one group of
+    generalised eigenvalues (rho of rank one, or every detector of
+    confidence q_1), LowRate up to eta1 = 1/2 and HighRate above.
 
-    With M = t I + v.sigma, rho_x = (I + r_x.sigma)/2 and rbar the Bloch
-    vector of the average state, the rate fixes t = eta1 - rbar.v and the
-    value is q_1 (eta1 + g.v)/eta1 with g = r_1 - rbar. 0 <= M <= I becomes
-    two spheroids with a focus at the origin, |v| + rbar.v <= eta1 (M PSD)
-    and |v| - rbar.v <= 1 - eta1 (I - M PSD). The problem is convex, so the
-    optimum is the first of three candidates that meets both constraints
-    (within CERT_ACTIVE_TOL): the maximum over the first spheroid alone
-    (branch LowRate), over the second alone (HighRate), or over the circle
-    where both boundaries meet, rbar.v = eta1 - 1/2, |v| = 1/2, where M is
-    a projector (Sharp). A second-spheroid optimum that also touches the
-    first is named Sharp, so the branch boundaries fall as in
-    certify_qubit. For g = 0 every detector has confidence q_1: M = eta1 I
-    is returned, named LowRate up to eta1 = 1/2 and HighRate above, the
-    fully mixed limit of certify_qubit's branches.
-
-    The multipliers (mu1, mu2) of the two spheroids give the dual: with
-    c_1 = q_1/eta1 and u the unit vector of the optimal v, K = (c_1 mu2/2)
-    (I + u.sigma), s = c_1 (1 + mu1 - mu2), and the detector slack is
-    (c_1 mu1/2) (I - u.sigma). The consistency check is relative to
-    max(1, c_1), because c_1 grows as eta1 falls.
-
-    Raises
-    ------
-    DimensionMismatchError
-        For an ensemble that is not a qubit ensemble.
-    OutOfRangeError
-        For eta1 outside (0, 1].
-    NumericalError
-        When the certificate misses its rate or value, leaves a gap or overflows.
+    Raises DimensionMismatchError for a non-qubit ensemble, OutOfRangeError
+    for eta1 outside (0, 1] and NumericalError on overflow or an inverted
+    bracket.
     """
     if e.dim != 2:
         raise DimensionMismatchError(f"qubit certification needs dim 2, got {e.dim}")
     if not (0.0 < eta1 <= 1.0):
         raise OutOfRangeError(f"rate eta1={eta1} outside (0, 1]")
-    q1, priors = e.priors[0], np.asarray(e.priors)
-    bloch = 2.0 * np.array([qmath.bloch_vector(s.matrix) for s in e.states])
-    rbar = priors @ bloch
-    g = bloch[0] - rbar
-    # 1 - |rbar|^2 as the mean purity deficit plus the spread of the Bloch
-    # vectors, which keeps its precision as |rbar| -> 1 (near-identical
-    # pure states), where 1 - |rbar|^2 itself cancels.
-    deficit = max(float(priors @ (1.0 - np.einsum("xi,xi->x", bloch, bloch))), 0.0)
-    flat = deficit + float(priors @ np.einsum("xi,xi->x", bloch - rbar, bloch - rbar))
-
-    branch, v, u, mu1, mu2 = _qubit_optimum(g, rbar, flat, eta1)
-    t = eta1 - float(rbar @ v)
-    m1 = qmath.bloch_op(t, v)
-    povm = Povm((m1,), qmath.bloch_op(1.0 - t, -v))
-    coeff = q1 / eta1
-    if not math.isfinite(coeff * (1.0 + mu1 + mu2)):
-        raise NumericalError(f"rate eta1={eta1} too small: the dual multipliers overflow")
-    value = q1 + coeff * float(g @ v)
-    K = (coeff * mu2 / 2.0) * qmath.bloch_op(1.0, u)
-    s = coeff * (1.0 + mu1 - mu2)
-    dual = DualCertificate.from_slacks(K, (s,), [(coeff * mu1 / 2.0) * qmath.bloch_op(1.0, -u)])
-
-    rho = sum(q * state.matrix for q, state in e.members)
-    rate = float(np.real(np.trace(m1 @ rho)))
-    primal = coeff * float(np.real(np.trace(m1 @ e.states[0].matrix)))
-    dual_obj = float(np.real(np.trace(K))) + s * eta1
-    _check_consistency(rate - eta1, primal - value, dual_obj - primal, max(1.0, coeff))
-    return CertReport(value, branch, povm, dual, max(dual_obj - primal, 0.0))
+    return _qubit_report(e, eta1, _single_detector(e, 0, 1.0, np.array([eta1])))
 
 
-def _qubit_optimum(g: np.ndarray, rbar: np.ndarray, flat: float, eta1: float) -> tuple:
-    """(branch, v, u, mu1, mu2) of certify_qubit_ensemble's reduced problem:
-    max g.v over |v| + rbar.v <= eta1 and |v| - rbar.v <= 1 - eta1."""
-    if not g.any():
-        return ("LowRate" if eta1 <= 0.5 else "HighRate"), np.zeros(3), np.zeros(3), 0.0, 0.0
+def _qubit_report(e: Ensemble, eta1: float, opt: _Single) -> CertReport:
+    """certify_qubit_ensemble's report from the first rate of opt."""
+    cert = _single_certificate(e, OutcomeRates((eta1,), 1.0 - eta1), 0, opt)
+    branch = int(opt.piece[0]) if opt.groups == 2 else 0 if eta1 <= 0.5 else 2
+    return CertReport(cert.upper, BRANCHES[branch], cert.povm, cert.dual, max(cert.upper - cert.lower, 0.0))
 
-    def excess(v, sign, h):                 # constraint value |v| + sign rbar.v - h
-        return math.hypot(*v) + sign * float(rbar @ v) - h
 
-    for sign, h, other, name in ((1.0, eta1, 1.0 - eta1, "LowRate"), (-1.0, 1.0 - eta1, eta1, "HighRate")):
-        found = _spheroid_max(g, sign * rbar, flat)
-        if found is None:
-            continue
-        lam, u, root = found
-        v = (h * lam / root) * u
-        if excess(v, -sign, other) <= CERT_ACTIVE_TOL:
-            if sign < 0.0 and excess(v, 1.0, eta1) >= -CERT_ACTIVE_TOL:
-                name = "Sharp"
-            return (name, v, u, lam, 0.0) if sign > 0.0 else (name, v, u, 0.0, lam)
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
-    # Both boundaries active: |v| = 1/2 and rbar.v = eta1 - 1/2. Neither
-    # single candidate is feasible, so the circle is proper (|rbar| > 0,
-    # radius > 0) and g is not along rbar; anything else is lost precision.
-    # Its radius is sqrt((1/2 - along)(1/2 + along)) with
-    # along = (eta1 - 1/2)/|rbar|. For |rbar| > 1/2 the two factors take
-    # (1 - |rbar|)/2 = flat/(2 (1 + |rbar|)), so that a small circle near
-    # the tip of a long spheroid (|rbar| -> 1) keeps its precision.
-    lost = NumericalError(f"qubit certification lost precision at eta1={eta1}")
-    norm_r = math.hypot(*rbar)
-    if norm_r > 0.5:
-        tip = flat / (2.0 * (1.0 + norm_r))
-        spread = (1.0 - eta1 - tip) * (eta1 - tip)
-    else:
-        spread = (norm_r / 2.0 - (eta1 - 0.5)) * (norm_r / 2.0 + (eta1 - 0.5))
-    if norm_r == 0.0 or spread <= 0.0:
-        raise lost
-    axis = rbar / norm_r
-    along, across = (eta1 - 0.5) / norm_r, math.sqrt(spread) / norm_r
-    g_par = float(g @ axis)
-    g_perp = g - g_par * axis
-    size = math.hypot(*g_perp)
-    if size == 0.0:
-        raise lost
-    v = along * axis + (across / size) * g_perp
-    # g = (mu1 + mu2) u + (mu1 - mu2) rbar with u = 2 v.
-    total = size / (2.0 * across)
-    diff = (g_par - 2.0 * total * along) / norm_r
-    return "Sharp", v, 2.0 * v, max((total + diff) / 2.0, 0.0), max((total - diff) / 2.0, 0.0)
+
+NEWTON_MAX_ITER = 100   # safeguarded Newton steps per stretch rate (bisection bounds it)
+SINGLE_ROUNDING = 4.0   # lower moves down by this times dim eps times its size
+
+
+class _Single(NamedTuple):
+    """_single_detector's optimum at each rate of an array: piece 2g on
+    jump g and 2g + 1 on the stretch after it (of groups jumps), the value
+    lower of detector M, the objective upper = tr K + s eta of the dual
+    (K, s) and its slack Z = K + s rho - c rho_y, all stacked in full space."""
+
+    piece: np.ndarray
+    groups: int
+    lower: np.ndarray
+    upper: np.ndarray
+    M: np.ndarray
+    K: np.ndarray
+    s: np.ndarray
+    Z: np.ndarray
+
+
+def _single_detector(e: Ensemble, y: int, weight: float, eta: np.ndarray) -> _Single:
+    """Exact max c tr[M rho_y] s.t. tr[M rho] = eta, 0 <= M <= I, with
+    c = weight q_y / eta, and its dual min tr K + s eta s.t. K >= 0,
+    K + s rho >= c rho_y, at each rate of a 1-d array in (0, 1].
+
+    With A = q_y rho_y and t = s/c the value is c min_t [t eta +
+    tr(A - t rho)_+] (its maximum over eta is Croke et al.'s, PRL 96,
+    070401, 2006). qmath.pencil gives P+ and P_N of A - t rho at each group
+    mu_g of generalised eigenvalues. The rate h(t) = tr[rho P+(t)] jumps
+    from h+ = tr[rho P+] to h+ + tr[rho P_N] at mu_g, where
+    M = P+ + tau P_N in closed form, and falls smoothly in between
+    (_stretch_solve). The dual K = c (A - t rho)_+, s = c t is repaired at
+    least cost for its rounding, which c magnifies: with -m the least
+    eigenvalue of K + s rho - c rho_y, s rises by delta and K gains
+    max(0, m - delta lambda_i) along each eigenvector of rho on its support
+    and m on ker rho, delta the cheapest of 0 and the m / lambda_i. lower
+    equals upper in exact arithmetic, so it moves down by its rounding
+    bound, SINGLE_ROUNDING dim eps times its size. Raises NumericalError
+    where c overflows.
+    """
+    rho = sum(q * s.matrix for q, s in e.members)    # average_state(e).matrix, unchecked
+    q, state = e.members[y]
+    pen = qmath.pencil(q * state.matrix, rho)
+    dim, rank, groups = len(rho), len(pen.weights), len(pen.mu)
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = weight / eta
+    if not np.isfinite(scale).all():
+        rate = float(eta[np.argmin(np.isfinite(scale))])
+        raise NumericalError(f"rate eta={rate} too small: the rate multiplier overflows")
+
+    index = np.arange(rank)
+    top = index >= rank - pen.above[:, None]                          # P+ of each jump
+    null = (index >= rank - pen.above[:, None] - pen.size[:, None]) & ~top
+    jump_w = (np.abs(pen.vectors) ** 2 * pen.weights[:, None]).sum(axis=1)     # v^H rho v
+    h_plus, h_null = (jump_w * top).sum(axis=1), (jump_w * null).sum(axis=1)
+    edges = np.maximum.accumulate(np.stack([h_plus, h_plus + h_null], axis=1).ravel())
+    piece = np.clip(np.searchsorted(edges, eta) - 1, 0, 2 * groups - 2)
+    g = piece // 2
+    tau = np.clip((eta - h_plus[g]) / h_null[g], 0.0, 1.0)
+    coef = top[g] + tau[:, None] * null[g]
+    found = [pen.mu[g], pen.values[g], pen.vectors[g], top[g], _from_eigen(pen.vectors[g], coef)]
+    stretch = np.flatnonzero(piece % 2)
+    if stretch.size:
+        found = [v.copy() for v in found]
+        for v, part in zip(found, _stretch_solve(pen, g[stretch], eta[stretch], h_plus, h_plus + h_null)):
+            v[stretch] = part
+    t, values, vectors, positive, m_s = found
+
+    lower = scale * np.einsum("kij,ji->k", m_s, pen.a).real
+    M = _hermitian(pen.basis @ m_s @ pen.basis.conj().T)
+    K = _hermitian(pen.basis @ _from_eigen(vectors, scale[:, None] * np.maximum(values, 0.0) * positive)
+                   @ pen.basis.conj().T)
+    s = scale * t
+    target = (scale * q)[:, None, None] * state.matrix
+    deficit = np.maximum(-np.linalg.eigvalsh(K + s[:, None, None] * rho - target)[:, 0], 0.0)
+    shift = np.concatenate([np.zeros((len(eta), 1)), deficit[:, None] / pen.weights], axis=1)
+    lift = np.maximum(deficit[:, None, None] - shift[:, :, None] * pen.weights, 0.0)
+    cost = shift * eta[:, None] + lift.sum(axis=2) + (dim - rank) * deficit[:, None]
+    best = (np.arange(len(eta)), np.argmin(cost, axis=1))
+    K = K + (pen.basis * lift[best][:, None, :]) @ pen.basis.conj().T
+    if rank < dim:
+        K = K + deficit[:, None, None] * (np.eye(dim) - pen.basis @ pen.basis.conj().T)
+    s = s + shift[best]
+    upper = np.trace(K, axis1=1, axis2=2).real + s * eta
+    lower = lower - SINGLE_ROUNDING * dim * np.finfo(float).eps * np.abs(lower)
+    return _Single(piece, groups, lower, upper, M, K, s, _hermitian(K + s[:, None, None] * rho - target))
+
+
+def _from_eigen(vectors: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """V diag(coef) V^H for each of a stack of eigenvector matrices V."""
+    return (vectors * coef[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+
+
+def _stretch_solve(pen: qmath.Pencil, g, eta, h_plus, h_minus) -> list:
+    """_single_detector on the stretches after groups g: [t, eigenvalues,
+    eigenvectors, positive mask, detector] at each rate, the detector in
+    the pencil's basis.
+
+    Safeguarded Newton on h(t) = eta, stacked over the rates, in the bracket
+    (lo, hi) = (mu[g+1], mu[g]) where h falls from h_plus[g+1] to
+    h_minus[g], with h'(t) = -2 sum |v_a^H rho v_b|^2 / (w_a - w_b) over
+    positive eigenpairs a and the others b; a step leaving the bracket
+    bisects it. A rate stops once |h - eta| <= 4 rank eps eta or its
+    bracket is a few ulps wide. The detector mixes P+ at the two bracket
+    ends onto the rate, so that the rate is exact; where the bracket is a
+    few ulps wide, as between two generalised eigenvalues equal up to
+    rounding, P+ at either end is optimal, whichever basis the eigensolver
+    picked for the near-null eigenvectors.
+    """
+    rank, eps = len(pen.weights), np.finfo(float).eps
+    up = np.arange(rank) >= rank - pen.above[g + 1][:, None]
+    pairs = up[:, :, None] & ~up[:, None, :]
+    lo, hi = pen.mu[g + 1], pen.mu[g]
+    h_lo, h_hi = h_plus[g + 1], h_minus[g]
+    p_lo, p_hi = _from_eigen(pen.vectors[g + 1], up), _from_eigen(pen.vectors[g], up)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = np.nan_to_num((h_lo - eta) / (h_lo - h_hi), nan=0.5)
+    t, done = lo + (hi - lo) * np.clip(start, 0.0, 1.0), np.zeros(len(g), dtype=bool)
+    for step_count in range(NEWTON_MAX_ITER + 1):
+        w, v = np.linalg.eigh(pen.a - t[:, None, None] * np.diag(pen.weights))
+        h = (np.abs(v) ** 2 * pen.weights[:, None] * up[:, None, :]).sum(axis=(1, 2))
+        p, high, low = _from_eigen(v, up), (h > eta) & ~done, (h <= eta) & ~done
+        lo, h_lo, p_lo = np.where(high, t, lo), np.where(high, h, h_lo), np.where(high[:, None, None], p, p_lo)
+        hi, h_hi, p_hi = np.where(low, t, hi), np.where(low, h, h_hi), np.where(low[:, None, None], p, p_hi)
+        narrow = hi - lo <= 4.0 * eps * np.maximum(abs(lo), abs(hi))
+        done |= (np.abs(h - eta) <= 4.0 * rank * eps * eta) | narrow
+        if done.all() or step_count == NEWTON_MAX_ITER:
+            break
+        cross = np.abs(v.conj().swapaxes(-1, -2) @ (pen.weights[:, None] * v)) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = -2.0 * np.where(pairs, cross / (w[:, :, None] - w[:, None, :]), 0.0).sum(axis=(1, 2))
+            step = t - (h - eta) / slope
+        t = np.where(done, t, np.where((step > lo) & (step < hi), step, (lo + hi) / 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mix = np.clip(np.nan_to_num((eta - h_hi) / (h_lo - h_hi), nan=0.5), 0.0, 1.0)[:, None, None]
+    return [t, w, v, up, mix * p_lo + (1.0 - mix) * p_hi]
 
 
 # ---------------------------------------------------------------------------
@@ -670,23 +685,18 @@ def _sdp_solve(A: np.ndarray, b: np.ndarray, C: np.ndarray) -> list:
     Infeasible primal-dual interior-point method from X = Z = I, y = 0:
     HKM direction, Mehrotra predictor-corrector (Helmberg, Rendl, Vanderbei
     and Wolkowicz, SIAM J. Optim. 6(2), 1996). Each iteration factors the
-    stacked [X; Z] blocks once as L L^H; Z^-1 and both step lengths (from
-    the least eigenvalue of L^-1 dU L^-H) come from that factor. Where only
-    X's factor fails, as it can at tiny rates, Z is factored alone and X's
-    step length comes from the eigenvalues of X^-1 dX. The Schur complement
-    sum_i Re tr[A_k X_i A_l Z_i^-1] is A applied to the stacked products
-    X_i (A_l Z_i^-1); the same sum taken as Ab_i (X_i (x) Z_i^-1) Ab_i^T
-    has other rounding and stalls at rates of 1e-8 and below.
-
-    Each instance stops on its own, keeping the iterate with the smallest
-    max(gap, residual), because near the optimum of rank-deficient problems
-    the Schur complement loses precision: once that error is below
-    SDP_TOL, after SDP_STALL iterations without a better iterate once it is
-    below SDP_NEAR, when mu = <X, Z> / (blocks d) is no longer positive, or
-    when Z's Cholesky factor or the Schur solve fails. A stopped instance leaves
-    the working arrays. Every operation acts on each instance alone
-    (stacked matmuls and solves, row-wise sums), so an instance's result is
-    the same, bit for bit, whichever others share its batch.
+    stacked [X; Z] blocks once as L L^H, for Z^-1 and both step lengths;
+    where only X's factor fails, Z is factored alone (_sdp_step). The Schur
+    complement sum_i Re tr[A_k X_i A_l Z_i^-1] is A applied to the stacked
+    products X_i (A_l Z_i^-1), an order of products that keeps tiny-rate
+    solves converging. Each instance keeps its iterate with the smallest
+    max(gap, residual), since the Schur complement of rank-deficient
+    problems loses precision near the optimum, and stops on its own: once
+    that is below SDP_TOL, after SDP_STALL iterations without a better
+    iterate below SDP_NEAR, when mu = <X, Z> / (blocks d) is no longer
+    positive, or when Z's factor or the Schur solve fails. Every operation
+    acts on each instance alone, so its result is the same, bit for bit,
+    whichever others share its batch.
     """
     k, m = b.shape
     blocks, d = C.shape[1], C.shape[-1]
@@ -795,37 +805,61 @@ def certify_general(e: Ensemble, alpha: WeightVector, rates: OutcomeRates) -> Ge
 
     The value is the SDP max sum_y c_y tr[M_y rho_y], c_y = alpha_y q_y / eta_y,
     over POVMs with tr[M_y rho] = eta_y; its dual is min tr K + s.eta over
-    K and Z_y = K + s_y rho - c_y rho_y PSD. One interior-point solve
-    (_sdp_solve, here with one instance) approximates both. Where rho is
-    rank-deficient, K and every element are first compressed to supp rho,
-    which changes no rate or value. lower is the value of the POVM made
-    exactly feasible (each element moved to its rate, the largest-rate one
-    reset to I minus the rest, all mixed toward M_y = eta_y I until PSD);
-    upper is the dual objective once negative eigenvalues of K and the Z_y
-    are shifted into K. The optimum lies in
-    [lower, upper] up to 1e-9 arithmetic slack, and repeated calls return
-    the same bracket, as does a batched solve of the same rates
-    (simulator.certify_from_tally). Raises NumericalError if upper falls
-    below lower.
+    K and Z_y = K + s_y rho - c_y rho_y PSD. lower is the value of an
+    exactly feasible POVM and upper the objective of a feasible dual; the
+    optimum lies between up to 1e-9 arithmetic slack, and NumericalError
+    is raised if upper falls below lower by more. With exactly one nonzero
+    weight the other detectors never tighten the value, and
+    _single_detector solves it exactly (_single_certificate). Otherwise one
+    interior-point solve (_sdp_solve) approximates both ends, repaired on
+    supp rho (qmath.support): the POVM made exactly feasible (each element
+    moved to its rate, the largest-rate one reset to I minus the rest, all
+    mixed toward eta_y I until PSD), negative eigenvalues of K and the Z_y
+    shifted into K.
     """
-    return _certify_general_batch(e, alpha, (rates,))[0]
+    n = rates.n
+    if len(alpha.alpha) != n:
+        raise DimensionMismatchError(f"alpha has {len(alpha.alpha)} entries for {n} detectors")
+    if n < 1 or n > len(e):
+        raise DimensionMismatchError(f"{n} detectors incompatible with {len(e)} states")
+    if sum(rates.eta) > 1.0 + RATE_SUM_TOL:
+        raise InfeasibleRateError(f"detector rates sum to {sum(rates.eta)} > 1")
+    _objective_weights(e, alpha, rates)
+    weighted = [y for y, a in enumerate(alpha.alpha) if a != 0.0]
+    if len(weighted) != 1:
+        return _certify_general_batch(e, alpha, (rates,))[0]
+    y = weighted[0]
+    opt = _single_detector(e, y, alpha.alpha[y], np.array([rates.eta[y]]))
+    return _single_certificate(e, rates, y, opt)
+
+
+def _single_certificate(e: Ensemble, rates: OutcomeRates, y: int, opt: _Single) -> GeneralCertificate:
+    """certify_general's certificate for weight on detector y alone, from
+    the first rate of opt: M_y is opt's detector and every other outcome
+    z, the inconclusive one included, gets eta_z / (sum of their rates)
+    times I - M_y, with s_z = 0."""
+    n, m_y, K, s_y = rates.n, opt.M[0], opt.K[0], float(opt.s[0])
+    others = [rates.eta0 if z == n else rates.eta[z] for z in range(n + 1) if z != y]
+    share = iter([v / sum(others) for v in others] if sum(others) > 0.0 else [0.0] * (n - 1) + [1.0])
+    ms = [m_y if z == y else next(share) * (np.eye(len(K)) - m_y) for z in range(n + 1)]
+    dual = DualCertificate.from_slacks(K, [s_y if z == y else 0.0 for z in range(n)],
+                                       [opt.Z[0] if z == y else K for z in range(n)])
+    lower, upper = float(opt.lower[0]), float(opt.upper[0])
+    if upper < lower - 1e-9:
+        raise NumericalError(f"dual upper bound {upper} fell below achieved primal {lower}")
+    return GeneralCertificate(lower, upper, Povm(tuple(ms[:n]), ms[n]), dual)
 
 
 def _certify_general_batch(e: Ensemble, alpha: WeightVector, batch) -> list:
-    """certify_general for each OutcomeRates in batch, with one _sdp_solve
-    per SDP layout: rates whose SDPs have the same blocks and rate rows
-    share their constraint matrices and are solved together. Each bracket
-    equals certify_general's for the same rates, bit for bit."""
+    """certify_general's SDP route for each OutcomeRates in batch (each
+    already checked by certify_general's rules), with one _sdp_solve per
+    SDP layout: rates whose SDPs have the same blocks and rate rows share
+    their constraint matrices and are solved together. Each bracket equals
+    that of a batch of one, bit for bit."""
     dim, rho = e.dim, average_state(e).matrix
     layouts, coeffs = {}, []
     for index, rates in enumerate(batch):
         n = rates.n
-        if len(alpha.alpha) != n:
-            raise DimensionMismatchError(f"alpha has {len(alpha.alpha)} entries for {n} detectors")
-        if n < 1 or n > len(e):
-            raise DimensionMismatchError(f"{n} detectors incompatible with {len(e)} states")
-        if sum(rates.eta) > 1.0 + RATE_SUM_TOL:
-            raise InfeasibleRateError(f"detector rates sum to {sum(rates.eta)} > 1")
         coeffs.append(_objective_weights(e, alpha, rates))
         # SDP blocks: the arms with nonzero rate (a rate-0 arm has weight 0 and
         # keeps M_y = 0) and the inconclusive element n. With eta_0 = 0 it and
@@ -866,8 +900,7 @@ def _general_bracket(rho, basis, rates, targets, blocks, rows, x, y_opt) -> Gene
         # Saturated: K + s_y rho >= Z_y >= 0 for each y, so t = min s_y moves K to a PSD point.
         t = s[arms].min()
         K, s[arms] = K + t * rho, s[arms] - t
-    values, vectors = qmath.eig_hermitian(rho)
-    support = vectors[:, values >= qmath.SUPPORT_EPS]
+    support = qmath.support(rho).vectors
     if support.shape[1] < dim:
         # q_y rho_y <= rho, so off supp rho (projector P) an element or K
         # changes no rate or value and only adds rounding, which
@@ -875,7 +908,7 @@ def _general_bracket(rho, basis, rates, targets, blocks, rows, x, y_opt) -> Gene
         # where K and x are, and the completion below puts I - P into one
         # element.
         proj = support @ support.conj().T
-        K, x = ((h + h.conj().swapaxes(-1, -2)) / 2.0 for h in (proj @ K @ proj, proj @ x @ proj))
+        K, x = (_hermitian(proj @ h @ proj) for h in (K, x))
     slack = [K + s[y] * rho - targets[y] for y in range(n)]
     deficit = max(0.0, *(-qmath.min_eig(m) for m in [K] + slack))
     dual = DualCertificate.from_slacks(K + deficit * eye, s, [m + deficit * eye for m in slack])

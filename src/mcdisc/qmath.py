@@ -1,8 +1,10 @@
 """Small dense complex Hermitian linear algebra.
 
 Everything in the library runs through this module: eigendecompositions,
-trace and operator norms, PSD flooring and the pseudo-inverse square root,
-for matrices of dimension 2 to 4. All functions are pure and reentrant.
+trace and operator norms, PSD flooring, the support of a PSD matrix (one
+rule, relative to its largest eigenvalue), the pseudo-inverse square root
+and the inertia structure of a Hermitian pencil, for matrices of dimension
+2 to 4. All functions are pure and reentrant.
 """
 from __future__ import annotations
 
@@ -15,18 +17,20 @@ from .errors import NonHermitianError, NotPsdError
 __all__ = [
     "HERM_TOL",
     "PSD_TOL",
-    "SUPPORT_EPS",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
     "EigenDecomposition",
+    "Pencil",
     "dagger",
     "is_hermitian",
     "eig_hermitian",
     "trace_norm",
     "op_norm",
     "psd_floor",
+    "support",
     "inv_sqrt",
+    "pencil",
     "min_eig",
     "bloch_op",
     "bloch_vector",
@@ -35,7 +39,7 @@ __all__ = [
 # Tolerances: well above double-precision noise for dimension <= 4.
 HERM_TOL = 1e-10       # Frobenius tolerance for Hermiticity checks
 PSD_TOL = -1e-10       # eigenvalues above this count as nonnegative
-SUPPORT_EPS = 1e-12    # eigenvalues below this count as zero (off support)
+SUPPORT_ULPS = 4.0     # support cut: SUPPORT_ULPS * dim * eps * largest eigenvalue
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -131,12 +135,10 @@ def psd_floor(a: np.ndarray, eps: float = 0.0) -> np.ndarray:
     return (out + dagger(out)) / 2.0
 
 
-def inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix on its support.
-
-    Eigenvalues below ``SUPPORT_EPS`` are treated as zero, so
-    ``inv_sqrt(a) @ a @ inv_sqrt(a)`` is the projector onto the support of
-    ``a`` within 1e-10.
+def support(a: np.ndarray) -> EigenDecomposition:
+    """Eigenpairs of a PSD matrix on its support, in ascending order: an
+    eigenvalue at or below SUPPORT_ULPS * dim * eps times the largest, the
+    rounding an eigensolver leaves on a zero eigenvalue, counts as zero.
 
     Raises
     ------
@@ -146,9 +148,59 @@ def inv_sqrt(a: np.ndarray) -> np.ndarray:
     values, vectors = eig_hermitian(a)
     if values[0] < PSD_TOL:
         raise NotPsdError(f"matrix has negative eigenvalue {values[0]:.3e}")
-    inv = np.where(values >= SUPPORT_EPS, 1.0 / np.sqrt(np.maximum(values, SUPPORT_EPS)), 0.0)
-    out = (vectors * inv) @ dagger(vectors)
+    keep = values > SUPPORT_ULPS * len(values) * np.finfo(float).eps * values[-1]
+    return EigenDecomposition(values[keep], vectors[:, keep])
+
+
+def inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root of a PSD matrix on its support (that of
+    ``support``), so ``inv_sqrt(a) @ a @ inv_sqrt(a)`` is the projector onto
+    it within 1e-10.
+
+    Raises
+    ------
+    NotPsdError
+        If some eigenvalue is below ``PSD_TOL``.
+    """
+    values, vectors = support(a)
+    out = (vectors / np.sqrt(values)) @ dagger(vectors)
     return (out + dagger(out)) / 2.0
+
+
+class Pencil(NamedTuple):
+    """The Hermitian pencil a - t b, b PSD, on the support of b: b's
+    eigenvectors there (basis columns) and eigenvalues (weights), the
+    compressed basis^H a basis, and the generalised eigenvalues (those of
+    b^-1/2 a b^-1/2) grouped by value, mu[g] descending, above[g] of them
+    exceeding mu[g] and size[g] equal to it. (values[g], vectors[g]) is the
+    ascending eigendecomposition of the compressed a - mu[g] b: by
+    Sylvester's law of inertia its last above[g] eigenpairs span its
+    positive part and the size[g] before them its null space."""
+
+    basis: np.ndarray
+    weights: np.ndarray
+    a: np.ndarray
+    mu: np.ndarray
+    above: np.ndarray
+    size: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def pencil(a: np.ndarray, b: np.ndarray) -> Pencil:
+    """The Pencil of a - t b; generalised eigenvalues within 16 rank eps of
+    the largest magnitude form one group. Raises NotPsdError as support(b)."""
+    weights, basis = support(b)
+    a = dagger(basis) @ np.asarray(a) @ basis
+    a = (a + dagger(a)) / 2.0
+    root = 1.0 / np.sqrt(weights)
+    mu = np.linalg.eigvalsh(root[:, None] * a * root)[::-1]
+    tol = 16.0 * len(mu) * np.finfo(float).eps * np.abs(mu).max()
+    start = [0] + [i for i in range(1, len(mu)) if mu[i - 1] - mu[i] > tol]
+    size = np.diff(start + [len(mu)])
+    groups = np.add.reduceat(mu, start) / size
+    values, vectors = np.linalg.eigh(a - groups[:, None, None] * np.diag(weights))
+    return Pencil(basis, weights, a, groups, np.array(start), size, values, vectors)
 
 
 def bloch_op(t: float, v) -> np.ndarray:

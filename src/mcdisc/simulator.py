@@ -10,9 +10,8 @@ from its row of outcome probabilities. The cost grows with preparations x
 outcomes, not with the trial count. Counts are reproducible bit for bit:
 one counter-based stream is derived from the seed.
 
-certify_from_tally routes by dimension alone: a qubit ensemble is
-certified in closed form (certify_qubit_ensemble), any other by the
-general SDP bracket, its three rate probes in one batched solve.
+certify_from_tally certifies every ensemble by the exact single-detector
+route (certify._single_detector), its three rate probes in one call.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import OutcomeRates, WeightVector, _certify_general_batch, certify_qubit_ensemble
+from .certify import OutcomeRates, _qubit_report, _single_certificate, _single_detector
 from .ensembles import Ensemble
 from .errors import (
     DimensionMismatchError,
@@ -108,7 +107,7 @@ class Tally:
 
 @dataclass(frozen=True, eq=False)
 class TallyCertification:
-    report: object                      # CertReport or GeneralCertificate
+    report: object                      # point estimate: CertReport (qubits) or GeneralCertificate
     eta1_interval: tuple
     value_interval: tuple
 
@@ -147,12 +146,12 @@ def certify_from_tally(t: Tally, e: Ensemble) -> TallyCertification:
     """Certify detector 1 from empirical rates, at the point estimate and
     both Wilson 95% endpoints; the value interval spans all three results.
 
-    Only detector 1's rate is constrained (a sound relaxation). The values
-    are certify_qubit_ensemble's for a qubit ensemble and otherwise the
-    upper ends of certify_general's brackets, with the three probes solved
-    as one batch (a probe within 1e-9 of eta1 = 1 has no inconclusive
-    block, so it has its own SDP layout and solve); each bracket equals a
-    lone certify_general call's bit for bit.
+    Only detector 1's rate is constrained (a sound relaxation). One
+    _single_detector call solves the three probes exactly, and each value
+    is its dual objective, bit for bit certify_qubit_ensemble's value for a
+    qubit ensemble and certify_general's upper end otherwise. Only the
+    point estimate is reported with a POVM and a dual: a CertReport for a
+    qubit ensemble, a GeneralCertificate otherwise.
     """
     rates = t.rates()
     eta1_hat = float(rates[1])
@@ -160,16 +159,11 @@ def certify_from_tally(t: Tally, e: Ensemble) -> TallyCertification:
         raise ZeroRateError("detector 1 never clicked; confidence undefined")
     lo, hi = t.wilson()[1]
     lo = max(lo, 1e-12)
-    probe = [eta1_hat, lo, hi]
-
-    if e.dim == 2:
-        reports = [certify_qubit_ensemble(e, eta) for eta in probe]
-        values = [report.value for report in reports]
-    else:
-        batch = [OutcomeRates((eta,), 1.0 - eta) for eta in probe]
-        reports = _certify_general_batch(e, WeightVector((1.0,)), batch)
-        values = [report.upper for report in reports]
-    return TallyCertification(reports[0], (lo, hi), (min(values), max(values)))
+    opt = _single_detector(e, 0, 1.0, np.array([eta1_hat, lo, hi]))
+    point = OutcomeRates((eta1_hat,), 1.0 - eta1_hat)
+    report = _qubit_report(e, eta1_hat, opt) if e.dim == 2 else _single_certificate(e, point, 0, opt)
+    values = opt.upper.tolist()
+    return TallyCertification(report, (lo, hi), (min(values), max(values)))
 
 
 def tally_to_json(t: Tally) -> str:

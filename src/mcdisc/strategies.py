@@ -8,7 +8,7 @@ Three tasks over a two-state qubit ensemble, each in two theories:
   rate, sqrt(c) quantumly vs (1+c)/2 noncontextually (with a discontinuity
   at c = 0 where the noncontextual rate drops to 0);
 - maximum confidence ("mcm"): closed forms in (c, p) for the depolarized
-  pair, plus the operator-norm route for arbitrary ensembles.
+  pair, plus the generalised-eigenvalue route for arbitrary ensembles.
 
 Values for "med" and "mcm" are success probabilities / confidences; values
 for "ud" are failure rates. Quantum results carry the achieving POVM;
@@ -327,25 +327,19 @@ def _unless_identical(identical, formula):
 def mcm_quantum_general(e: Ensemble, y: int = 1) -> BoundResult:
     """Maximum confidence of detector y for an arbitrary ensemble.
 
-    Computed as the operator norm of s q_y rho_y s with s the pseudo-inverse
-    square root of the average state; rank deficiency is handled by support
-    restriction. The attached single-detector POVM is the scaled optimizer.
+    The value is the largest generalised eigenvalue mu_0 of the pencil
+    (q_y rho_y, rho) on the support of the average state rho (Croke et al.,
+    PRL 96, 070401, 2006; qmath.pencil). The attached single-detector POVM
+    is the projector onto the null space of q_y rho_y - mu_0 rho there,
+    whose confidence is mu_0.
     """
     if not (1 <= y <= len(e)):
         raise OutOfRangeError(f"detector index {y} outside 1..{len(e)}")
     q, s = e.members[y - 1]
-    rho = average_state(e).matrix
-    root = qmath.inv_sqrt(rho)
-    op = root @ (q * s.matrix) @ root
-    values, vectors = qmath.eig_hermitian(op)
-    value = float(min(max(values[-1], 0.0), 1.0))
-    phi = vectors[:, -1]
-    raw = root @ np.outer(phi, phi.conj()) @ root
-    top = qmath.op_norm(raw)
-    if top <= 0.0:
-        m_y = np.zeros_like(raw)
-    else:
-        m_y = raw / top
+    pen = qmath.pencil(q * s.matrix, average_state(e).matrix)
+    null = pen.basis @ pen.vectors[0][:, len(pen.weights) - pen.size[0]:]
+    m_y = null @ qmath.dagger(null)
+    value = float(min(max(pen.mu[0], 0.0), 1.0))
     # The optimizer sits in slot y; lower slots are never-click placeholders
     # so confidence_of(povm, e, y) addresses the right detector.
     zero = np.zeros((e.dim, e.dim), dtype=complex)

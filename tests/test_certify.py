@@ -502,7 +502,7 @@ def test_general_batch_matches_solo_calls(dim, monkeypatch):
     # Rates sharing an SDP layout are solved as one batch, and eta1 = 1
     # (saturated: no inconclusive block) as a batch of its own. Members
     # leave the batch at different iterations, yet each keeps the bracket,
-    # POVM and dual of its own certify_general call, bit for bit.
+    # POVM and dual of its own SDP solve, bit for bit.
     rng = np.random.default_rng([24, dim])
     e, _ = random_instance(rng, dim, 1, False)
     alpha = WeightVector((1.0,))
@@ -513,7 +513,7 @@ def test_general_batch_matches_solo_calls(dim, monkeypatch):
     monkeypatch.undo()
     assert sizes[0] == 4 and 1 < min(sizes[: sizes.index(1)]) < 4
     for rates, cert in zip(batch, certs, strict=True):
-        assert same_certificate(cert, certify_general(e, alpha, rates))
+        assert same_certificate(cert, _certify_general_batch(e, alpha, [rates])[0])
 
 
 @pytest.mark.parametrize("forced", [(4, 5), (4, 5, 6)], ids=["x-unfactored", "stopped"])
@@ -527,7 +527,7 @@ def test_general_batch_member_failure_stays_alone(forced, monkeypatch):
     e, _ = random_instance(rng, 3, 1, False)
     alpha = WeightVector((1.0,))
     batch = [OutcomeRates((eta,), 1.0 - eta) for eta in (0.2, 0.4, 0.6)]
-    solo = [certify_general(e, alpha, rates) for rates in batch]
+    solo = [_certify_general_batch(e, alpha, [rates])[0] for rates in batch]
     cholesky = np.linalg.cholesky
 
     def failing():
@@ -542,7 +542,7 @@ def test_general_batch_member_failure_stays_alone(forced, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", failing())
     certs = _certify_general_batch(e, alpha, batch)
     monkeypatch.setattr(np.linalg, "cholesky", failing())
-    stopped = certify_general(e, alpha, batch[0])
+    stopped = _certify_general_batch(e, alpha, [batch[0]])[0]
     monkeypatch.undo()
     assert same_certificate(certs[0], stopped)
     assert not same_certificate(stopped, solo[0])
@@ -654,27 +654,99 @@ def test_general_identical_pure_states_at_tiny_rates(vector):
         assert cert.upper >= 0.3 - 1e-10, eta
 
 
+def single_width_bound(dim, q1, eta1):
+    """Width allowed to a one-detector bracket: 1e-14 d max(1, q_1/eta1),
+    the rounding of a dual whose terms grow like c_1 = q_1/eta1."""
+    return 1e-14 * dim * max(1.0, q1 / eta1)
+
+
+def random_pure_pair(rng, dim, priors):
+    vs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2)]
+    vs = [v / np.linalg.norm(v) for v in vs]
+    e = Ensemble(tuple((q, pure_state(v)) for q, v in zip(priors, vs)))
+    return e, abs(np.vdot(vs[0], vs[1])) ** 2
+
+
 def test_general_pure_pairs_at_tiny_rates_in_d3_and_d4():
     # rho has rank 2, so the certified value is the qubit closed form on the
-    # span of the two states. At eta1 = 1e-8 the Schur complement is so
-    # ill-conditioned that the order of its products decides whether the
-    # solve converges.
+    # span of the two states. At eta1 = 1e-8 it is the LowRate value 1,
+    # whatever the priors: a detector orthogonal to the second state.
     rng = np.random.default_rng(5)
-    widths = []
     for dim in (3, 4) * 5:
-        vs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2)]
-        vs = [v / np.linalg.norm(v) for v in vs]
         q = float(rng.uniform(0.2, 0.8))
-        span, _ = np.linalg.qr(np.stack(vs, axis=1))
-        pair = [(q, vs[0]), (1.0 - q, vs[1])]
-        e = Ensemble(tuple((p, pure_state(v)) for p, v in pair))
-        value = certify_qubit_ensemble(
-            Ensemble(tuple((p, pure_state(span.conj().T @ v)) for p, v in pair)), 1e-8
-        ).value
+        e, c = random_pure_pair(rng, dim, (q, 1.0 - q))
+        value = exact_certified(c, 0.0, 1e-8)
         cert = certify_general(e, WeightVector((1.0,)), OutcomeRates((1e-8,), 1.0 - 1e-8))
-        assert cert.lower - 1e-9 <= value <= cert.upper + 1e-9
-        widths.append(cert.upper - cert.lower)
-    assert np.median(widths) < 1e-3, widths
+        assert cert.lower <= value <= cert.upper
+        assert cert.upper - cert.lower <= single_width_bound(dim, q, 1e-8)
+
+
+@pytest.mark.parametrize("eta1", [1e-8, 1e-10, 1e-12])
+def test_general_equal_prior_pure_pairs_at_tiny_rates(eta1):
+    # The dual's rounding grows like c_1 = q_1/eta1, and so may the width.
+    rng = np.random.default_rng([24, int(-math.log10(eta1))])
+    for dim in (3, 4) * 5:
+        e, c = random_pure_pair(rng, dim, (0.5, 0.5))
+        cert = certify_general(e, WeightVector((1.0,)), OutcomeRates((eta1,), 1.0 - eta1))
+        assert cert.lower <= exact_certified(c, 0.0, eta1) <= cert.upper
+        assert cert.upper - cert.lower <= single_width_bound(dim, 0.5, eta1)
+
+
+@pytest.mark.parametrize("c", [0.999999999999, 0.9999999999999])
+@pytest.mark.parametrize("eta1", [0.5, 0.001])
+def test_general_near_identical_pure_pair_is_exact(c, eta1):
+    # rho's small eigenvalue is about (1 - c)/4, below the absolute 1e-12
+    # that once cut it off the support and read lower = 0.5.
+    rates = OutcomeRates((eta1,), 1.0 - eta1)
+    cert = certify_general(make_pure_pair(PairSpec(c)), WeightVector((1.0,)), rates)
+    assert cert.lower <= exact_certified(c, 0.0, eta1) <= cert.upper
+    assert cert.upper - cert.lower <= 1e-12
+
+
+@pytest.mark.parametrize("eta0", [1e-12, 1e-9, 1e-7])
+def test_general_single_detector_near_saturation(eta0):
+    # The inconclusive element is only eta0 thick; the SDP's interior-point
+    # solve stalled there with brackets up to 2.5e-7 wide.
+    rng = np.random.default_rng([7, int(-math.log10(eta0))])
+    for dim in (3, 4) * 4:
+        e, _ = random_instance(rng, dim, 1, False)
+        rates = OutcomeRates((1.0 - eta0,), eta0)
+        cert = certify_general(e, WeightVector((1.0,)), rates)
+        assert cert.lower <= cert.upper <= cert.lower + single_width_bound(dim, e.priors[0], rates.eta[0])
+        ok, residuals = verify_kkt(e, WeightVector((1.0,)), rates, cert.povm, cert.dual)
+        assert ok, residuals
+
+
+def test_single_detector_near_degenerate_generalised_eigenvalues():
+    # In draw 22 (d = 3) two generalised eigenvalues are 1 up to rounding
+    # but not grouped, and its drawn rate falls on the stretch between
+    # them, where P+(t) is any vector of a near-null plane. Mixing P+ at
+    # the two bracket ends, both optimal there, keeps the bracket tight.
+    rng = np.random.default_rng(99)
+    for draw in range(30):
+        dim = (2, 3, 4)[draw % 3]
+        e, _ = random_instance(rng, dim, 1, False)
+        for eta in (0.3, float(rng.uniform())):
+            rates = OutcomeRates((eta,), 1.0 - eta)
+            cert = certify_general(e, WeightVector((1.0,)), rates)
+            assert cert.upper - cert.lower <= single_width_bound(dim, e.priors[0], eta), (draw, eta)
+            ok, residuals = verify_kkt(e, WeightVector((1.0,)), rates, cert.povm, cert.dual)
+            assert ok, (draw, eta, residuals)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_single_detector_route_meets_the_sdp(dim):
+    # Differential check: with one nonzero weight, certify_general's exact
+    # bracket intersects the interior-point solve's (the SDP route on the
+    # same rates) within 1e-9, on seeded draws and every weight placement.
+    rng = np.random.default_rng([19, dim])
+    for draw in range(6):
+        for alpha in ((1.0,), (1.0, 0.0), (0.0, 1.0)):
+            e, rates = random_instance(rng, dim, len(alpha), len(alpha) == 2 and draw % 2 == 0)
+            exact = certify_general(e, WeightVector(alpha), rates)
+            sdp = _certify_general_batch(e, WeightVector(alpha), [rates])[0]
+            assert max(exact.lower - sdp.upper, sdp.lower - exact.upper) <= 1e-9, (draw, alpha)
+            assert exact.upper - exact.lower <= sdp.upper - sdp.lower + 1e-14
 
 
 def test_qubit_ensemble_ball_when_average_is_maximally_mixed():

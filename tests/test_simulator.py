@@ -278,9 +278,9 @@ def test_certify_from_tally_general_route():
 
 def test_certify_from_tally_all_clicks_qutrit(monkeypatch):
     # A detector that always clicks: eta1_hat = 1 and Wilson hi rounds to
-    # 1 - 1.1e-16. Both probes are saturated (no inconclusive block), so
-    # they share one SDP solve and the Wilson low end has another; the value
-    # interval still equals that of three serial certify_general calls.
+    # 1 - 1.1e-16. The three probes take the exact single-detector route,
+    # with no SDP solve, and the value interval still equals that of three
+    # serial certify_general calls.
     v2 = np.array([0.6, 0.8, 0.0])
     e = Ensemble(((0.5, pure_state([1.0, 0.0, 0.0])), (0.5, pure_state(v2))))
     povm = Povm((np.eye(3, dtype=complex),), np.zeros((3, 3), dtype=complex))
@@ -291,7 +291,7 @@ def test_certify_from_tally_all_clicks_qutrit(monkeypatch):
     monkeypatch.setattr(certify, "_sdp_solve", lambda A, b, C: batches.append(len(b)) or solve(A, b, C))
     cert = certify_from_tally(tally, e)
     monkeypatch.undo()
-    assert sorted(batches) == [1, 2]
+    assert batches == []
     uppers = [
         certify_general(e, WeightVector((1.0,)), OutcomeRates((eta,), 1.0 - eta)).upper
         for eta in probes

@@ -187,6 +187,19 @@ def test_mcm_general_detector_two():
         mcm_quantum_general(e, 3)
 
 
+@pytest.mark.parametrize("gap", [1e-11, 1e-12, 1e-13])
+def test_mcm_general_near_identical_pure_pair(gap):
+    # Two distinct pure states always allow confidence 1. rho's small
+    # eigenvalue, about gap/4, is on its support however small it is
+    # relative to the top one's rounding; an absolute cut of 1e-12 once
+    # dropped it and returned 1/2.
+    e = make_pure_pair(PairSpec(1.0 - gap))
+    for y in (1, 2):
+        res = mcm_quantum_general(e, y)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert confidence_of(res.measurement, e, y) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_mcm_noncontextual_values():
     assert mcm_noncontextual(0.5, 0.0).value == pytest.approx(1.0, abs=1e-14)
     assert mcm_noncontextual(0.5, 1.0).value == pytest.approx(0.5, abs=1e-14)
